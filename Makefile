@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint sanitize race static effects obs objprof pdes frontier check bench bench-paper perf examples demo clean
+.PHONY: install test lint sanitize race static effects obs objprof pdes perfbench-smoke frontier check bench bench-paper perf examples demo clean
 
 install:
 	pip install -e .
@@ -55,10 +55,20 @@ obs:
 objprof:
 	PYTHONPATH=src python -m repro.obs objprof
 
+# Repository benchmark smoke: its own tests, then one short run of each
+# workload at the held-out seed.  Every iteration must match its digest
+# in perfbench/expected_digests.json — the only pin on the profiled
+# ws-migrate combination (rebalancer + prefetch + objprof + telemetry).
+perfbench-smoke:
+	python3 -m pytest perfbench -q
+	python3 perfbench/run.py --workload bh-adaptive --seed 1000 --seconds 1
+	python3 perfbench/run.py --workload ws-migrate --seed 1000 --seconds 1
+
 # The pre-merge gate: lint, tier-1 tests, sanitizer-enabled workloads,
 # the happens-before race gate, the static-analysis soundness gate,
 # the interprocedural effect/purity gate,
-# the telemetry and object-profiler gates, plus the perf
+# the telemetry and object-profiler gates, the repository benchmark
+# smoke, plus the perf
 # regression guard (wall-time within tolerance of BENCH_perf.json,
 # determinism checksums unchanged).  Does not rewrite the committed
 # baseline — use `make perf` for that.
@@ -71,6 +81,7 @@ check: lint
 	PYTHONPATH=src python -m repro.obs gate
 	PYTHONPATH=src python -m repro.obs objprof
 	$(MAKE) pdes
+	$(MAKE) perfbench-smoke
 	PYTHONPATH=src python benchmarks/perf_harness.py --repeats 3 --scale smoke --frontier smoke --output /tmp/BENCH_perf.check.json
 	PYTHONPATH=src python benchmarks/check_regression.py BENCH_perf.json /tmp/BENCH_perf.check.json
 

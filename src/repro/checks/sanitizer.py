@@ -37,10 +37,10 @@ SAN007    write-notice/version discipline: per-object home versions in
 
 The sanitizer deliberately does **not** register as a
 :class:`~repro.dsm.hlrc.ProtocolHooks` profiler hook: hook fan-out has
-a cost model attached (and a single-hook fast path the profiler relies
-on), while sanitizer callbacks are free — they observe, never advance
-simulated clocks — so a sanitize-on run produces byte-identical
-simulated results, which ``tests/checks`` asserts.
+a cost model attached (and one more keyword hook would put every
+access on the fan-out path), while sanitizer callbacks are free — they
+observe, never advance simulated clocks — so a sanitize-on run produces
+byte-identical simulated results, which ``tests/checks`` asserts.
 """
 
 from __future__ import annotations

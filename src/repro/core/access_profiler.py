@@ -68,9 +68,9 @@ class AccessProfiler:
         self.wants_batch_prime = not self._backend.memoized
         if self.wants_batch_prime:
             # Shadow the bound method with the stateless variant; the
-            # protocol's single-hook fast dispatch resolves the hook via
-            # getattr, so the instance attribute wins and the default
-            # path stays branch-for-branch identical.
+            # protocol's dispatch plan resolves the hook via getattr, so
+            # the instance attribute wins and the default path stays
+            # branch-for-branch identical.
             self.fast_on_access = self._fast_on_access_stateless
         #: destination daemon; anything with a ``deliver(OALBatch)`` method.
         self.collector = collector
@@ -171,10 +171,11 @@ class AccessProfiler:
         self.fast_on_access(thread, obj, real_fault)
 
     def fast_on_access(self, thread, obj: HeapObject, real_fault: bool) -> None:
-        """Positional form of :meth:`on_access` (the sampled-logging
-        decision depends only on the object and whether the access
-        really faulted); the protocol's single-hook fast dispatch calls
-        this directly."""
+        """Positional first-touch form of :meth:`on_access` (the
+        sampled-logging decision depends only on the object and whether
+        the access really faulted, and at-most-once logging makes every
+        later touch in the interval a no-op); the protocol's access
+        dispatch calls this directly, on interval-first touches only."""
         if not self.enabled:
             return
         oal = self._current.get(thread.thread_id)

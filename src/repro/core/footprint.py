@@ -61,6 +61,8 @@ class StickySetFootprinter:
         "interval_tracked",
         "tracked_accesses",
         "_gos",
+        "_policy_states",
+        "_track_ns",
     )
 
     def __init__(
@@ -100,23 +102,10 @@ class StickySetFootprinter:
         self.tracked_accesses = 0
         #: attached by the ProfilerSuite (needed to resolve object classes).
         self._gos = None
-
-    # ------------------------------------------------------------------
-
-    def _tracking_on(self, thread_id: int, now_ns: int) -> bool:
-        if self.timer_period_ns is None:
-            return True
-        start = self._interval_start.get(thread_id, 0)
-        phase_pos = ((now_ns - start) % self.timer_period_ns) / self.timer_period_ns
-        return phase_pos < self.duty
-
-    def _phase_id(self, thread_id: int, now_ns: int) -> int:
-        if self.timer_period_ns is None:
-            # Nonstop mode: synthesize phases at 1 ms so the multi-phase
-            # stickiness signal still exists.
-            return now_ns // NS_PER_MS
-        start = self._interval_start.get(thread_id, 0)
-        return (now_ns - start) // self.timer_period_ns
+        # Hot-path aliases (the cost model is frozen; the policy's state
+        # dict is mutated in place, never replaced).
+        self._policy_states = policy._states
+        self._track_ns = costs.gos_trap_ns + costs.footprint_track_ns
 
     # ------------------------------------------------------------------
     # ProtocolHooks interface
@@ -141,23 +130,44 @@ class StickySetFootprinter:
         real_fault: bool,
     ) -> None:
         """ProtocolHooks: one access op executed (see class docstring)."""
+        self.track_access(thread, obj)
+
+    def track_access(self, thread, obj: HeapObject) -> None:
+        """Positional every-access form of :meth:`on_access` (tracking
+        depends only on the thread, the object and the clock); the
+        protocol's access dispatch calls this directly."""
         if not self.enabled:
             return
         tid = thread.thread_id
         stats = self._stats.get(tid)
         if stats is None:
             return
-        now = thread.clock.now_ns
-        if not self._tracking_on(tid, now):
-            return
-        if not self.policy.is_sampled(obj):
+        now = thread.clock._now_ns
+        period = self.timer_period_ns
+        if period is None:
+            # Nonstop mode: always tracking, with phases synthesized at
+            # 1 ms so the multi-phase stickiness signal still exists.
+            phase = now // NS_PER_MS
+        else:
+            since = now - self._interval_start.get(tid, 0)
+            if (since % period) / period >= self.duty:
+                return  # tracking-off phase: the access is invisible
+            phase = since // period
+        # Sampled?  Probe the class's epoch-keyed decision memo inline;
+        # fall back to decision() on a miss or a stale cache.
+        st = self._policy_states.get(obj.jclass.class_id)
+        dec = None
+        if st is not None and st.cache_epoch == st.epoch:
+            dec = st.decisions.get(obj.obj_id)
+        if dec is None:
+            dec = self.policy.decision(obj)
+        if not dec[0]:
             return
         # Repeated tracking works by re-resetting sampled objects to
         # false-invalid at each tracking phase: the first access of each
         # phase traps (and is what gets counted — the access-frequency
         # signal has phase granularity); later accesses in the same phase
         # run the fast path free of charge.
-        phase = self._phase_id(tid, now)
         entry = stats.get(obj.obj_id)
         if entry is None:
             entry = _ObjStats(first_ns=now)
@@ -167,9 +177,9 @@ class StickySetFootprinter:
             return
         entry.phases.add(phase)
         entry.count += 1
-        ns = self.costs.gos_trap_ns + self.costs.footprint_track_ns
+        ns = self._track_ns
         thread.cpu.footprinting_ns += ns
-        thread.clock.advance(ns)
+        thread.clock._now_ns += ns
         self.tracked_accesses += 1
 
     def on_interval_close(self, thread, interval: IntervalRecord, sync_dst: int | None) -> None:

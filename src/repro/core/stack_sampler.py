@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.runtime.interpreter import NO_DEADLINE_NS
 from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread
 from repro.sim.costs import CostModel
@@ -106,7 +107,7 @@ class StackSampler:
         a far-future sentinel when sampling is disabled.
         """
         if not self.enabled:
-            return 1 << 62
+            return NO_DEADLINE_NS
         nxt = self._next_fire.get(thread.thread_id)
         return 0 if nxt is None else nxt
 

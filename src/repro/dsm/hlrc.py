@@ -20,9 +20,11 @@ Li, OSDI'96), at *object* granularity:
   exploits to bound logging cost.
 
 Profiler integration: the engine accepts *hooks* (see
-:class:`ProtocolHooks`) invoked on interval open/close and on each
-access op.  Hooks do their own cost accounting into the thread's CPU
-buckets, so overhead experiments can attribute every nanosecond.
+:class:`ProtocolHooks`) invoked on interval open/close and on access
+ops, through a dispatch plan resolved once per registered hook (see
+:meth:`HomeBasedLRC.add_hook`).  Hooks do their own cost accounting into
+the thread's CPU buckets, so overhead experiments can attribute every
+nanosecond.
 
 Scheduling approximation: threads run between sync points without
 preemption (legal under LRC, where remote writes become visible only at
@@ -45,7 +47,16 @@ from repro.sim.network import MessageKind
 
 
 class ProtocolHooks(Protocol):
-    """Interface a profiler implements to observe the protocol."""
+    """Interface a profiler implements to observe the protocol.
+
+    A hook may also offer a positional access entry point, which the
+    engine then calls instead of the keyword :meth:`on_access`:
+
+    * ``fast_on_access(thread, obj, real_fault)`` — the *first-touch*
+      contract: called only on the first touch of an object in an
+      interval (the only access that can trap);
+    * ``track_access(thread, obj)`` — called on every access.
+    """
 
     def on_interval_open(self, thread) -> None:
         """A new HLRC interval just opened for ``thread``."""
@@ -69,6 +80,11 @@ class ProtocolHooks(Protocol):
         """``thread`` closed ``interval`` (sync_dst = manager node, if any)."""
         ...
 
+
+#: access-dispatch modes of a hook in the engine's plan (see add_hook).
+_FIRST_TOUCH = 0  # fast_on_access(thread, obj, real_fault), first touches only
+_EVERY_ACCESS = 1  # track_access(thread, obj), every access
+_KEYWORD = 2  # on_access(thread, obj, **access), every access
 
 #: coherence states hoisted to module level for the access fast path.
 _HOME = RealState.HOME
@@ -129,17 +145,19 @@ class HomeBasedLRC:
         # notice range last applied — shared by every node draining the
         # same range at a barrier.
         self._latest_notices: tuple[int, int, dict[int, int]] | None = None
-        self.hooks: list[ProtocolHooks] = []
-        # Single-hook fast dispatch: when exactly one hook is attached
-        # and it exposes ``fast_on_access`` (positional form), accesses
-        # call it directly instead of the keyword fan-out.
-        self._fast_src: ProtocolHooks | None = None
-        self._fast_log = None
-        # Companion cache for the vector engine's decide_batch lane: the
-        # hook's ``prime_batch`` when it advertises ``wants_batch_prime``
-        # (stateless sampling backends), else None.  Resolved together
-        # with ``_fast_log`` so both caches always describe ``_fast_src``.
-        self._fast_prime = None
+        #: protocol hooks in registration order (attach with add_hook).
+        self.hooks: tuple[ProtocolHooks, ...] = ()
+        # Access dispatch plan, one (mode, bound entry point) per hook in
+        # registration order; resolved by add_hook.
+        self._hook_plan: tuple[tuple[int, object], ...] = ()
+        # The first-touch entry points when *every* hook follows that
+        # contract (empty with no hooks), else None: the access path's
+        # and the vector engine's fast dispatch.
+        self._touch_hooks: tuple | None = ()
+        # decide_batch lanes (``prime_batch``) of the hooks advertising
+        # ``wants_batch_prime`` (stateless sampling backends), for the
+        # vector engine.
+        self._prime_hooks: tuple = ()
         # Nullable observer slots (see OBSERVER_SLOTS): all None until
         # attach_observer wires one; hot paths check with `is not None`.
         for slot in OBSERVER_SLOTS:
@@ -173,6 +191,29 @@ class HomeBasedLRC:
             "hlrc_intervals_total", "HLRC intervals closed"
         )
 
+    def add_hook(self, hook: ProtocolHooks) -> None:
+        """Attach a protocol hook, resolving its access dispatch once.
+
+        Accesses call each hook in registration order, through the
+        cheapest entry point it offers: ``fast_on_access`` positionally
+        on interval-first touches, else ``track_access`` positionally on
+        every access, else the keyword :meth:`ProtocolHooks.on_access`
+        on every access."""
+        fast = getattr(hook, "fast_on_access", None)
+        if fast is not None:
+            step = (_FIRST_TOUCH, fast)
+        else:
+            track = getattr(hook, "track_access", None)
+            step = (_EVERY_ACCESS, track) if track is not None else (_KEYWORD, hook.on_access)
+        self.hooks = (*self.hooks, hook)
+        self._hook_plan = (*self._hook_plan, step)
+        if fast is None:
+            self._touch_hooks = None
+        elif self._touch_hooks is not None:
+            self._touch_hooks = (*self._touch_hooks, fast)
+        if getattr(hook, "wants_batch_prime", False):
+            self._prime_hooks = (*self._prime_hooks, hook.prime_batch)
+
     @property
     def counters(self) -> dict[str, int]:
         """Legacy view of the protocol counters (the metrics registry is
@@ -195,7 +236,7 @@ class HomeBasedLRC:
 
         One attach point instead of per-slot assignment boilerplate; the
         slots stay plain attributes, so the hot paths' single
-        ``is not None`` check (and the access path's single-hook fast
+        ``is not None`` check (and the access path's first-touch fast
         dispatch) are untouched.  Attaching over an occupied slot is a
         wiring bug and is rejected."""
         if slot not in OBSERVER_SLOTS:
@@ -389,44 +430,37 @@ class HomeBasedLRC:
         if racedetector is not None:
             racedetector.on_access(thread, obj_id, is_write)
 
-        hooks = self.hooks
-        if not hooks:
-            return
-        if len(hooks) == 1:
-            hook = hooks[0]
-            if hook is self._fast_src:
-                fast = self._fast_log
-            else:
-                self._fast_src = hook
-                fast = self._fast_log = getattr(hook, "fast_on_access", None)
-                self._fast_prime = (
-                    getattr(hook, "prime_batch", None)
-                    if getattr(hook, "wants_batch_prime", False)
-                    else None
-                )
-            if fast is not None:
-                # Only the first touch of an object in an interval can
-                # trap (the false-invalid tag is cancelled by that first
-                # access; later accesses run the inlined fast path
-                # untouched), so the profiler hook fires once per
-                # (interval, object).
-                if first_touch:
-                    if obj is None:
-                        obj = self._objects[obj_id]
+        touch = self._touch_hooks
+        if touch is not None:
+            # Every hook (if any) follows the first-touch contract.  Only
+            # the first touch of an object in an interval can trap (the
+            # false-invalid tag is cancelled by that first access; later
+            # accesses run the inlined fast path untouched), so the
+            # hooks fire once per (interval, object).
+            if first_touch and touch:
+                if obj is None:
+                    obj = self._objects[obj_id]
+                for fast in touch:
                     fast(thread, obj, faulted)
-                return
+            return
         if obj is None:
             obj = self._objects[obj_id]
-        for hook in hooks:
-            hook.on_access(
-                thread,
-                obj,
-                is_write=is_write,
-                n_elems=n_elems,
-                elem_off=elem_off,
-                repeat=repeat,
-                real_fault=faulted,
-            )
+        for mode, entry in self._hook_plan:
+            if mode == _FIRST_TOUCH:
+                if first_touch:
+                    entry(thread, obj, faulted)
+            elif mode == _EVERY_ACCESS:
+                entry(thread, obj)
+            else:
+                entry(
+                    thread,
+                    obj,
+                    is_write=is_write,
+                    n_elems=n_elems,
+                    elem_off=elem_off,
+                    repeat=repeat,
+                    real_fault=faulted,
+                )
 
     # ------------------------------------------------------------------
     # intervals

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.core.profiler import ProfilerSuite
 from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.balancer import CorrelationAwareBalancer, MigrationProposal
+from repro.runtime.interpreter import NO_DEADLINE_NS
 from repro.runtime.migration import MigrationEngine, MigrationPlan
 from repro.runtime.thread import SimThread
 
@@ -57,12 +58,24 @@ class OnlineRebalancer:
     # -- TimerHook interface ------------------------------------------------
 
     def maybe_fire(self, thread: SimThread) -> None:
-        """TimerHook: fire if the thread's clock passed the next deadline."""
+        """TimerHook: fire once the polled thread has warmed up."""
         if self.fired or thread.interval_counter < self.warmup_intervals:
             return
         self.fired = True
         self._c_fired.inc()
         self._rebalance()
+
+    def next_fire_ns(self, thread: SimThread) -> int:
+        """Deadline API: 0 (due now) once ``thread`` has warmed up and
+        the rebalancer has not fired, else a far-future sentinel.
+
+        The firing condition is interval-driven, and intervals only open
+        at synchronization, so the deadline can only move when a sync op
+        completes — the interpreter re-reads deadlines there, which fires
+        the rebalancer at exactly the op per-op polling would."""
+        if self.fired or thread.interval_counter < self.warmup_intervals:
+            return NO_DEADLINE_NS
+        return 0
 
     def _rebalance(self) -> None:
         djvm = self.suite.djvm

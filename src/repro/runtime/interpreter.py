@@ -19,13 +19,16 @@ aligns clocks, distributes write notices, and wakes the waiters.
 Post-synchronization migration checks route through ``MIGRATION_CHECK``
 events chained ahead of the thread's next segment.
 
-Timer hooks (stack sampler, sticky-set footprint tracker) that expose
-the ``next_fire_ns`` deadline API register absolute deadlines: the hot
+Timer hooks (stack sampler, online rebalancer) expose the
+``next_fire_ns`` deadline API and register absolute deadlines: the hot
 loop compares the running thread's clock against the minimum deadline —
 one integer compare per op — and only calls into the hooks when a
 deadline passes (fires are recorded into the kernel trace as
-``TIMER_FIRE`` events).  Hooks without the API (condition-driven hooks
-like the online rebalancer) fall back to legacy per-op polling.
+``TIMER_FIRE`` events).  A condition-driven hook reports deadline 0 once
+its condition holds; because intervals open only at synchronization, the
+loop re-reads deadlines after every completed sync op, so such a hook
+fires at the same op as it would under per-op polling.  A hook without
+the API is still polled after every op, and disengages vector replay.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: cost of a SETSLOT (a store to the current frame), nanoseconds.
 SETSLOT_NS = 2
 
+#: ``next_fire_ns`` sentinel of a timer hook with nothing scheduled.
+NO_DEADLINE_NS = 1 << 62
+
 
 def _make_vector_engine(interp: "Interpreter"):
     """Build the vector replay engine, or None when numpy is absent
@@ -59,8 +65,10 @@ class TimerHook(Protocol):
     """A profiler component driven by per-thread simulated timers.
 
     Hooks may additionally expose ``next_fire_ns(thread) -> int`` (an
-    absolute deadline in ns); the interpreter then skips per-op calls
-    until the thread's clock passes the deadline.
+    absolute deadline in ns; 0 for "due now", :data:`NO_DEADLINE_NS`
+    for "nothing scheduled"); the interpreter then skips per-op calls
+    until the thread's clock passes the deadline, re-reading it after
+    each completed sync op.
     """
 
     def maybe_fire(self, thread: SimThread) -> None:
@@ -369,21 +377,17 @@ class Interpreter:
         record = self.kernel.record
         timer_fire = EventKind.TIMER_FIRE
         # Vector replay engages per segment: per-op polled timers need
-        # the scalar loop, and profiler hooks must speak the fast
-        # single-hook protocol (the engine fires it at first touches).
+        # the scalar loop, and every profiler hook must follow the
+        # first-touch contract (the engine fires them at first touches).
         vec = self._vector
         vruns = None
         vec_demoted = ()
-        if vec is not None and not poll_timers:
-            hl_hooks = self.hlrc.hooks
-            if not hl_hooks or (
-                len(hl_hooks) == 1 and hasattr(hl_hooks[0], "fast_on_access")
-            ):
-                vruns = program.vector_runs()
-                if not vruns:
-                    vruns = None
-                else:
-                    vec_demoted = vec.demoted
+        if vec is not None and not poll_timers and self.hlrc._touch_hooks is not None:
+            vruns = program.vector_runs()
+            if not vruns:
+                vruns = None
+            else:
+                vec_demoted = vec.demoted
         start_i = i
         # Run spans are non-overlapping and only a span's start index
         # maps to a run, so once a run is taken scalar the per-op run
@@ -453,11 +457,15 @@ class Interpreter:
                         if poll_timers:
                             for timer in timers:
                                 timer.maybe_fire(thread)
-                        elif deadline_mode and clock._now_ns >= next_deadline:
-                            for timer in timers:
-                                timer.maybe_fire(thread)
-                            if next_deadline > 0:
-                                record(timer_fire, clock._now_ns, tid)
+                        elif deadline_mode:
+                            # The op opened a new interval, which can
+                            # move a condition-driven hook's deadline.
+                            next_deadline = min(t.next_fire_ns(thread) for t in timers)
+                            if clock._now_ns >= next_deadline:
+                                for timer in timers:
+                                    timer.maybe_fire(thread)
+                                if next_deadline > 0:
+                                    record(timer_fire, clock._now_ns, tid)
                     return  # yield so sync ordering tracks simulated time
                 else:
                     thread.pc = i
@@ -517,14 +525,3 @@ class Interpreter:
                 callback=self._on_barrier_release,
             )
         return False
-
-    def _post_op(self, thread: SimThread, timers, mig) -> None:
-        """Poll timer hooks and pending migrations after one op.
-
-        Kept for compatibility; the hot loop inlines this behind a
-        "hooks attached" guard.
-        """
-        for timer in timers:
-            timer.maybe_fire(thread)
-        if mig is not None and mig.has_pending(thread.thread_id):
-            mig.maybe_migrate(thread)

@@ -315,23 +315,14 @@ class VectorEngine:
             checkpoints = slow
             defer = True
         else:
-            # Single-hook fast dispatch, resolved exactly like
-            # hlrc.access.  The hook must observe every interval-first
-            # touch at its exact access instant, so the full checkpoint
-            # lane stays engaged and summaries are created in-walk.
-            hook = hooks[0]
-            if hook is hl._fast_src:
-                fast = hl._fast_log
-                prime = hl._fast_prime
-            else:
-                hl._fast_src = hook
-                fast = hl._fast_log = getattr(hook, "fast_on_access", None)
-                prime = hl._fast_prime = (
-                    getattr(hook, "prime_batch", None)
-                    if getattr(hook, "wants_batch_prime", False)
-                    else None
-                )
-            if prime is not None:
+            # First-touch hooks, from the engine's dispatch plan (the
+            # interpreter engages replay only when every hook follows
+            # that contract).  The hooks must observe every interval-
+            # first touch at its exact access instant, so the full
+            # checkpoint lane stays engaged and summaries are created
+            # in-walk.
+            fast = hl._touch_hooks
+            for prime in hl._prime_hooks:
                 # decide_batch lane: stateless sampling backends batch
                 # this run's distinct-object decisions up front (host-
                 # side cache only; simulated costs are unchanged, so
@@ -436,10 +427,11 @@ class VectorEngine:
                 now = clock._now_ns
                 if accesses.get(oid) is None:
                     accesses[oid] = AccessSummary(oid, 0, 0, now, now)
-                    if fast is not None:
+                    if fast:
                         if obj is None:
                             obj = objects[oid]
-                        fast(thread, obj, faulted)
+                        for hook in fast:
+                            hook(thread, obj, faulted)
                         delta = clock._now_ns - now
                         if delta:
                             extra += delta
