@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint sanitize race static effects obs objprof pdes perfbench-smoke frontier check bench bench-paper perf examples demo clean
+.PHONY: install test lint sanitize race static effects obs objprof pdes perfbench-smoke check bench bench-paper perf examples demo clean
 
 install:
 	pip install -e .
@@ -82,15 +82,8 @@ check: lint
 	PYTHONPATH=src python -m repro.obs objprof
 	$(MAKE) pdes
 	$(MAKE) perfbench-smoke
-	PYTHONPATH=src python benchmarks/perf_harness.py --repeats 3 --scale smoke --frontier smoke --output /tmp/BENCH_perf.check.json
+	PYTHONPATH=src python benchmarks/perf_harness.py --repeats 3 --scale smoke --output /tmp/BENCH_perf.check.json
 	PYTHONPATH=src python benchmarks/check_regression.py BENCH_perf.json /tmp/BENCH_perf.check.json
-
-# Sampling-backend frontier: accuracy (E_ABS vs full sampling), cold
-# per-decision cost, and end-to-end wall overhead per backend x
-# workload, plus the dead-zone probe.  Exits non-zero when a frontier
-# gate fails (prime-gap identity, 2x-accuracy-at-lower-cost, probe).
-frontier:
-	PYTHONPATH=src python benchmarks/frontier.py --mode full
 
 # Partitioned-kernel gate: byte-identity of the conservative parallel
 # kernel (2 and 4 partitions) and the vectorized replay engine against

@@ -22,13 +22,6 @@ The ``scale`` phase (serial oracle vs partitioned+vectorized kernel on
 the SOR node ladder) is judged on correctness, not speed: its wall times
 are printed as advisory, but the serial and parallel checksums must be
 identical within CURRENT and unchanged against BASELINE.
-
-The ``frontier`` phase (sampling-backend accuracy vs overhead) follows
-the same split: per-backend E_ABS / decision-cost / wall-overhead rows
-are advisory prints, while the phase's recorded gate booleans — prime
-gap reproducing the default policy's TCM byte-for-byte, a stateless
-backend within 2x E_ABS at lower decision cost, the small-working-set
-dead-zone probe flagged — are hard failures when false.
 """
 
 from __future__ import annotations
@@ -147,20 +140,6 @@ def main(argv: list[str]) -> int:
                         f"scale:{rung}: {key} changed vs baseline "
                         f"(simulated results differ)"
                     )
-
-    # Frontier phase: accuracy/cost rows are advisory (decision cost and
-    # wall overhead are machine-dependent), the gate booleans are hard.
-    frontier = current.get("frontier", {})
-    for wl, rec in sorted(frontier.get("workloads", {}).items()):
-        for backend, row in sorted(rec.get("backends", {}).items()):
-            print(
-                f"  frontier   {wl}/{backend:30s} e_abs {row.get('e_abs', 0):.4f}  "
-                f"decide {row.get('decide_ns', 0):8.1f} ns  "
-                f"overhead {row.get('overhead_frac', 0) * 100:+.1f}% (advisory)"
-            )
-    for gate, ok in sorted(frontier.get("gates", {}).items()):
-        if not ok:
-            failures.append(f"frontier:{gate}: gate failed")
 
     base_snaps = telemetry_snapshots(baseline)
     for wl, snap in telemetry_snapshots(current).items():

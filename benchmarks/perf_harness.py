@@ -396,15 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         default="full",
         help="scale-phase depth: full ladder, smoke (2 rungs, 1 repeat), or off",
     )
-    parser.add_argument(
-        "--frontier",
-        choices=("off", "smoke", "full"),
-        default="full",
-        help=(
-            "sampling-backend frontier depth: all backends x workloads, "
-            "smoke (SOR, prime_gap + hash, 1 repeat), or off"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -423,10 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.scale != "off":
         report["scale"] = measure_scale(max(1, args.repeats - 2), args.scale)
-    if args.frontier != "off":
-        from frontier import measure_frontier
-
-        report["frontier"] = measure_frontier(max(1, args.repeats - 2), args.frontier)
     with open(args.output, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from repro._version import __version__
+from repro.util.validation import positive_int, sampling_rate
 
 WORKLOADS = ("sor", "barnes-hut", "water-spatial", "fft", "group-sharing")
 
@@ -41,6 +42,12 @@ def make_workload(name: str, n_threads: int, seed: int):
     if name == "group-sharing":
         return GroupSharingWorkload(n_threads=n_threads, group_size=2, rounds=4, seed=seed)
     raise ValueError(f"unknown workload {name!r}; pick one of {WORKLOADS}")
+
+
+def _rate_text(text: str) -> str:
+    """Validate ``--rate`` but keep its spelling for the summary line."""
+    sampling_rate(text)
+    return text
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -118,16 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="one-command Barnes-Hut profiling demo")
-    demo.add_argument("--nodes", type=int, default=8)
-    demo.add_argument("--threads", type=int, default=16)
+    demo.add_argument("--nodes", type=positive_int, default=8)
+    demo.add_argument("--threads", type=positive_int, default=16)
     demo.add_argument("--seed", type=int, default=0)
     demo.set_defaults(func=cmd_demo)
 
     run = sub.add_parser("run", help="run a workload with chosen profilers")
     run.add_argument("workload", choices=WORKLOADS)
-    run.add_argument("--nodes", type=int, default=8)
-    run.add_argument("--threads", type=int, default=16)
-    run.add_argument("--rate", default="4", help="sampling rate nX, or 'full'")
+    run.add_argument("--nodes", type=positive_int, default=8)
+    run.add_argument("--threads", type=positive_int, default=16)
+    run.add_argument("--rate", type=_rate_text, default="4",
+                     help="sampling rate nX, or 'full'")
     run.add_argument("--sticky", action="store_true",
                      help="enable stack sampling + sticky-set footprinting")
     run.add_argument("--no-correlation", action="store_true",

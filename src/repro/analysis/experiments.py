@@ -3,12 +3,11 @@ and integration tests.
 
 The accuracy experiments exploit a determinism the real system also has:
 whether an object is sampled at a given rate depends only on its
-immutable identity (sequence number and class for the prime-gap scheme,
-object id for the stateless backends) — not on timing — so the OAL
-stream at any rate *under any backend* is a filter of the full-sampling
-OAL stream.  One profiled run at full sampling therefore yields the TCM
-at every rate and backend (:func:`tcm_at_rate`), exactly as a re-run at
-that configuration would produce, at a fraction of the cost.  Overhead experiments, whose point is the
+immutable identity (class and sequence number) — not on timing — so the
+OAL stream at any rate is a filter of the full-sampling OAL stream.  One
+profiled run at full sampling therefore yields the TCM at every rate
+(:func:`tcm_at_rate`), exactly as a re-run at that rate would produce,
+at a fraction of the cost.  Overhead experiments, whose point is the
 cost accounting itself, re-run per configuration.
 """
 
@@ -84,12 +83,10 @@ def run_with_correlation(
     piggyback: bool = True,
     costs: CostModel | None = None,
     telemetry=None,
-    sampling_backend=None,
     objprof: bool = False,
 ) -> ProfiledRun:
     """Run with correlation tracking at one sampling rate (optionally
-    under a non-default sampling backend, optionally with the
-    object-centric inefficiency profiler attached)."""
+    with the object-centric inefficiency profiler attached)."""
     workload = workload_factory()
     djvm = build_djvm(workload, n_nodes, costs=costs, telemetry=telemetry, objprof=objprof)
     suite = ProfilerSuite(
@@ -97,7 +94,6 @@ def run_with_correlation(
         correlation=True,
         send_oals=send_oals,
         piggyback=piggyback,
-        sampling_backend=sampling_backend,
     )
     suite.set_rate_all(rate)
     result = djvm.run(workload.programs())
@@ -181,15 +177,12 @@ def tcm_at_rate(
     *,
     page_size: int = 4096,
     use_prime_gaps: bool = True,
-    backend=None,
 ) -> np.ndarray:
     """The TCM a run at ``rate`` would produce, computed by filtering the
-    full-sampling OAL stream through that rate's sampling policy (under
-    any decision ``backend`` — decisions are pure functions of object
-    identity for every backend, so the filter is exact)."""
-    policy = SamplingPolicy(
-        page_size=page_size, use_prime_gaps=use_prime_gaps, backend=backend
-    )
+    full-sampling OAL stream through that rate's sampling policy
+    (decisions are pure functions of object identity, so the filter is
+    exact)."""
+    policy = SamplingPolicy(page_size=page_size, use_prime_gaps=use_prime_gaps)
     for st in gos.registry:
         policy.set_rate(st, rate)
 

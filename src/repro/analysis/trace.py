@@ -164,29 +164,26 @@ class ProfileTrace:
     # ------------------------------------------------------------------
 
     def _rebuild_policy(
-        self, rate: float | str, backend=None
+        self, rate: float | str
     ) -> tuple[SamplingPolicy, GlobalObjectSpace]:
         """Reconstruct a registry/GOS skeleton carrying the recorded
-        sequence numbers, and a policy at the requested rate (optionally
-        under a non-default sampling backend)."""
+        sequence numbers, and a policy at the requested rate."""
         gos = GlobalObjectSpace()
         id_map = {}
         for cid, (name, inst, is_array, elem) in sorted(self.classes.items()):
             jc = gos.registry.define(name, inst, is_array=is_array, element_size=elem)
             id_map[cid] = jc
-        policy = SamplingPolicy(page_size=self.page_size, backend=backend)
+        policy = SamplingPolicy(page_size=self.page_size)
         for jc in id_map.values():
             policy.set_rate(jc, rate)
         return policy, gos, id_map  # type: ignore[return-value]
 
-    def tcm_at_rate(self, rate: float | str, *, backend=None) -> np.ndarray:
+    def tcm_at_rate(self, rate: float | str) -> np.ndarray:
         """The TCM a run at ``rate`` would have produced, replayed from
-        the recorded full-sampling log.  ``backend`` substitutes a
-        non-default sampling backend; decisions are pure functions of
-        the recorded object identities, so the replay stays exact."""
+        the recorded full-sampling log."""
         from repro.heap.objects import HeapObject
 
-        policy, gos, id_map = self._rebuild_policy(rate, backend)  # type: ignore[misc]
+        policy, gos, id_map = self._rebuild_policy(rate)  # type: ignore[misc]
 
         def entries():
             cache: dict[int, HeapObject] = {}

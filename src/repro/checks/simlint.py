@@ -41,7 +41,7 @@ SIM011    direct mutation of sampling state (``gap_table[...]``,
           per-class decision memos/counters, ``real_gap``/``epoch``
           fields) outside ``repro/core/sampling.py`` — rate changes
           flow through ``SamplingPolicy.set_rate``/``set_min_gap`` so
-          every backend observes a consistent epoch
+          the decision memo observes a consistent epoch
 SIM012    write to a shared-annotated object outside a lock region: a
           binding whose line carries a trailing ``# shared`` comment
           marks the object as cross-thread shared, and ``write(...)``
@@ -269,13 +269,13 @@ METRICS_HOME_PREFIX = "repro/obs/"
 SAMPLING_HOME = "repro/core/sampling.py"
 
 #: container names SIM011 guards against subscript mutation: the policy
-#: gap table, the per-class decision memo, and the backend counters.
+#: gap table, the per-class decision memo, and the decision counters.
 SAMPLING_CONTAINERS = frozenset(
     {"gap_table", "decisions", "sample_counts", "skip_counts"}
 )
 
 #: per-class state fields SIM011 guards against attribute assignment —
-#: mutating these bypasses the epoch bump backends rely on.
+#: mutating these bypasses the epoch bump the decision memo relies on.
 SAMPLING_STATE_ATTRS = frozenset(
     {"real_gap", "nominal_gap", "cache_epoch", "epoch", "min_gap"}
 )
@@ -869,10 +869,10 @@ class _Checker(ast.NodeVisitor):
 
     def _check_sampling_mutation(self, target: ast.AST, node: ast.AST) -> None:
         """Flag writes to the policy gap table, per-class decision memos
-        or backend counters (``gap_table[...] = ``, ``st.real_gap = ``)
+        or decision counters (``gap_table[...] = ``, ``st.real_gap = ``)
         outside :data:`SAMPLING_HOME`: gap/epoch consistency is what lets
-        every backend trust its memo and threshold derivations, so rate
-        changes must flow through ``set_rate``/``set_min_gap``."""
+        the decision memo be trusted, so rate changes must flow through
+        ``set_rate``/``set_min_gap``."""
         if self._sampling_exempt():
             return
         if isinstance(target, ast.Subscript):
@@ -883,7 +883,7 @@ class _Checker(ast.NodeVisitor):
                     "SIM011",
                     f"direct {name}[...] mutation outside {SAMPLING_HOME}; "
                     "change rates through SamplingPolicy.set_rate/set_min_gap "
-                    "so the class epoch bumps and backends stay consistent",
+                    "so the class epoch bumps and the decision memo stays consistent",
                 )
         elif isinstance(target, ast.Attribute) and target.attr in SAMPLING_STATE_ATTRS:
             self.report(

@@ -54,24 +54,8 @@ class AccessProfiler:
         # containers are mutated in place, never replaced).
         self._gap_table = policy.gap_table
         self._policy_states = policy._states
-        self._backend = policy.backend
         self._log_ns_fault = self.costs.oal_log_ns
         self._log_ns_trap = self.costs.gos_trap_ns + self.costs.oal_log_ns
-        #: transient decision table for stateless backends, filled by the
-        #: vector engine's decide_batch lane (prime_batch) and keyed to
-        #: the policy's change generation; never consulted by the
-        #: default memoized backend, whose per-class epoch memo already
-        #: serves the same role.
-        self._primed: dict[int, tuple[bool, int, int]] = {}
-        self._primed_gen = -1
-        #: advertises the decide_batch lane to the vector engine.
-        self.wants_batch_prime = not self._backend.memoized
-        if self.wants_batch_prime:
-            # Shadow the bound method with the stateless variant; the
-            # protocol's dispatch plan resolves the hook via getattr, so
-            # the instance attribute wins and the default path stays
-            # branch-for-branch identical.
-            self.fast_on_access = self._fast_on_access_stateless
         #: destination daemon; anything with a ``deliver(OALBatch)`` method.
         self.collector = collector
         #: when False, OALs are generated and costed but never sent (the
@@ -98,7 +82,7 @@ class AccessProfiler:
         self.tracer = None
         #: opt-in object-centric profiler (repro.obs.objprof): pure
         #: observer fed each closed interval's OAL entries, whose
-        #: ``scaled_bytes`` carry the backend's Horvitz–Thompson weights.
+        #: ``scaled_bytes`` carry the Horvitz–Thompson weights.
         self.objprof = None
 
     # ------------------------------------------------------------------
@@ -109,13 +93,7 @@ class AccessProfiler:
         """Schedule the cluster-wide resampling pass a gap change requires:
         every node must re-tag its cached objects of the class.  The cost
         is charged to each node's next syncing thread (the paper measures
-        this at under 0.1% of CPU time).  Stateless backends re-derive
-        decisions from immutable object identity, so there are no
-        per-object sample tags to re-tag — only the primed decision
-        table is dropped and no pass is charged."""
-        if not self._backend.needs_resample_pass:
-            self._primed.clear()
-            return
+        this at under 0.1% of CPU time)."""
         for node in self.cluster.nodes:
             self._pending_resample.setdefault(node.node_id, set()).add(jclass.class_id)
 
@@ -217,63 +195,6 @@ class AccessProfiler:
             self.sanitizer.on_oal_log(
                 thread, thread.current_interval.interval_id, obj_id
             )
-
-    def _fast_on_access_stateless(self, thread, obj: HeapObject, real_fault: bool) -> None:
-        """The stateless-backend twin of :meth:`fast_on_access`: probes
-        the run-primed decision table (filled by the vector engine's
-        decide_batch lane) instead of the per-class epoch memo, falling
-        back to a fresh backend decision — a pure function of object
-        identity — on a miss.  Installed as an instance attribute at
-        construction when the policy's backend is not memoized."""
-        if not self.enabled:
-            return
-        oal = self._current.get(thread.thread_id)
-        if oal is None:
-            return
-        obj_id = obj.obj_id
-        if obj_id in oal:
-            return  # at-most-once per interval: fast path, zero extra cost
-        jclass = obj.jclass
-        class_id = jclass.class_id
-        if self._gap_table.get(class_id, 1) == 1:
-            # Fully-sampled class: identical across backends (every
-            # scheme selects everything at gap 1 with scale factor 1).
-            scaled = obj.length * jclass.element_size if obj.is_array else jclass.instance_size
-        else:
-            if self._primed_gen != self.policy.rate_changes:
-                self._primed.clear()
-                self._primed_gen = self.policy.rate_changes
-            dec = self._primed.get(obj_id)
-            if dec is None:
-                dec = self._backend.decide(obj)
-            sampled, _logged, scaled = dec
-            if not sampled:
-                return
-        ns = self._log_ns_fault if real_fault else self._log_ns_trap
-        thread.cpu.oal_logging_ns += ns
-        thread.clock._now_ns += ns
-        oal[obj_id] = _tuple_new(OALEntry, (obj_id, scaled, class_id))
-        self.total_logged += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_oal_log(
-                thread, thread.current_interval.interval_id, obj_id
-            )
-
-    def prime_batch(self, objs) -> None:
-        """The vector engine's decide_batch lane: pre-compute sampling
-        decisions for a run's distinct objects in one backend batch,
-        cached until the next rate change.  Host-side only — simulated
-        costs are charged where the decisions are consumed, so replay
-        modes stay byte-identical."""
-        if self._primed_gen != self.policy.rate_changes:
-            self._primed.clear()
-            self._primed_gen = self.policy.rate_changes
-        primed = self._primed
-        todo = [obj for obj in objs if obj.obj_id not in primed]
-        if not todo:
-            return
-        for obj, dec in zip(todo, self._backend.decide_batch(todo)):
-            primed[obj.obj_id] = dec
 
     def on_interval_close(
         self, thread, interval: IntervalRecord, sync_dst: int | None

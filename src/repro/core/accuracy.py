@@ -50,20 +50,6 @@ def absolute_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).sum()) / denom
 
 
-def error_summary(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
-    """Both paper metrics of estimate ``a`` against reference ``b`` in
-    one record — the accuracy row the sampling-backend frontier bench
-    publishes per backend x workload."""
-    e_abs = absolute_error(a, b)
-    e_euc = euclidean_error(a, b)
-    return {
-        "e_abs": e_abs,
-        "e_euc": e_euc,
-        "accuracy_abs": 0.0 if math.isinf(e_abs) else max(0.0, 1.0 - e_abs),
-        "accuracy_euc": 0.0 if math.isinf(e_euc) else max(0.0, 1.0 - e_euc),
-    }
-
-
 def accuracy(a: np.ndarray, b: np.ndarray, metric: str = "abs") -> float:
     """Accuracy = 1 - error, floored at 0 (the paper plots percentages)."""
     if metric == "abs":

@@ -21,14 +21,9 @@ Two drivers are provided:
   recent windows — the "applications whose sharing patterns could change
   dynamically" case from the abstract.
 
-Controllers speak page-relative *rates* only; what applying a rate
-physically means belongs to the policy's sampling backend.  Under the
-default prime-gap backend a rate change mutates the class gap and
-charges a cluster-wide resampling pass; under the stateless backends
-the same ``set_rate`` realizes a new hash threshold or Poisson λ (both
-derived from the realized gap) and the access profiler charges no
-resampling pass — there are no per-object sample tags to re-tag (see
-:func:`describe_rate_update`).
+Controllers speak page-relative *rates* only; applying one mutates the
+class's prime gap, and the access profiler charges the cluster-wide
+resampling pass that re-tags the class's cached objects.
 """
 
 from __future__ import annotations
@@ -42,22 +37,6 @@ from repro.core.accuracy import absolute_error, euclidean_error
 
 #: the standard rate ladder, coarse to fine (paper Fig. 9 x-axis reversed).
 DEFAULT_RATE_LADDER: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-
-def describe_rate_update(policy, jclass) -> str:
-    """One-line account of what the last applied rate realized for a
-    class under the policy's active backend — gap mutation (prime_gap),
-    selection threshold (hash/hybrid), or Poisson λ.  Diagnostic only;
-    used by the frontier bench and CLI summaries."""
-    st = policy.state(jclass)
-    backend = policy.backend
-    gap = st.real_gap
-    if backend.memoized:
-        return f"gap={gap} (epoch {st.epoch}, resample pass due on change)"
-    unit = policy._sampling_unit_size(jclass)
-    if backend.name == "poisson" and unit > 0:
-        return f"lambda=1/{gap * unit}B (epoch {st.epoch}, no resample pass)"
-    return f"threshold=1/{gap} (epoch {st.epoch}, no resample pass)"
 
 
 def _distance(a: np.ndarray, b: np.ndarray, metric: str) -> float:

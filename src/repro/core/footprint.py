@@ -13,10 +13,7 @@ Because repeated tracking is strictly more expensive than at-most-once
 logging, two throttles from the paper apply:
 
 * a **lower bound on the sampling gap** (set via
-  ``SamplingPolicy.set_min_gap``; under a stateless sampling backend
-  the same clamp caps each class's inclusion probability at
-  ``1/min_gap``, since backends derive λ / thresholds from the realized
-  gap), and
+  ``SamplingPolicy.set_min_gap``), and
 * a **timer** alternating tracking-on and tracking-off phases
   (``period_ms`` with ``duty`` fraction on); accesses during off phases
   are invisible, trading accuracy for cost — exactly the Nonstop vs

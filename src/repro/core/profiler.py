@@ -49,20 +49,13 @@ class ProfilerSuite:
         footprint_timer_ms: float | None = None,
         footprint_min_gap: int = 1,
         use_prime_gaps: bool = True,
-        sampling_backend=None,
     ) -> None:
         if not djvm.threads:
             raise ValueError("spawn threads before constructing the ProfilerSuite")
         self.djvm = djvm
         costs = djvm.costs
-        if sampling_backend is None:
-            # DJVM(sampling_backend=...) is the user-facing switch; an
-            # explicit constructor argument overrides it.
-            sampling_backend = getattr(djvm, "sampling_backend", None)
         self.policy = SamplingPolicy(
-            page_size=costs.page_size,
-            use_prime_gaps=use_prime_gaps,
-            backend=sampling_backend,
+            page_size=costs.page_size, use_prime_gaps=use_prime_gaps
         )
         self.collector = CorrelationCollector(
             n_threads=len(djvm.threads),

@@ -10,10 +10,8 @@ guards distinguish this from plain connectivity prefetching:
   the true sticky set, so a traced path that goes ``tolerance x gap``
   objects of a class without meeting a sampled ("landmark") object is
   probably heading out of the sticky set; the trace stops that path and
-  switches to the next entry point.  ``gap`` here is the policy's
-  *expected* inter-sample spacing (``SamplingPolicy.expected_gap``), so
-  the guard calibrates itself to whichever sampling backend selected
-  the landmarks.
+  switches to the next entry point.  ``gap`` is the class's real (prime)
+  sampling gap.
 * **Per-class budgets** — the footprint gives the expected byte
   composition per class; each class stops contributing once its budget
   is met, and resolution ends when every budgeted class is satisfied.
@@ -105,11 +103,7 @@ def resolve_sticky_set(
                 break
             obj = gos.get(obj_id)
             cname = obj.jclass.name
-            # The guard's tolerance unit is the *expected* spacing
-            # between samples under the active backend: the prime gap
-            # for divisibility/hash selection, the inverse inclusion
-            # probability for Poisson.
-            gap = policy.expected_gap(obj.jclass)
+            gap = policy.gap(obj.jclass)
             sampled = policy.is_sampled(obj)
             landmark = is_landmark(obj, sampled)
 

@@ -16,82 +16,24 @@ TCMs estimated at any rate are directly comparable with the
 full-sampling reference — which is what the paper's accuracy formulas
 (1)/(2) compare.
 
-Sampling backends
------------------
-
-The *decision* — given an object and the class's current gap, is it
-sampled, how many bytes are logged, and what Horvitz-Thompson weight do
-they carry — is pluggable through :class:`SamplingBackend`
-(``decide`` / ``decide_batch`` / ``epoch`` / ``snapshot``).  The
-:class:`SamplingPolicy` keeps owning the per-class *configuration*
-(rate ladder -> nominal gap -> realized prime gap, min-gap clamps,
-epochs) so every backend answers the same page-relative rate semantics;
-backends differ only in how they select objects at that rate:
-
-* :class:`PrimeGapBackend` (default) — the paper's scheme: sequence
-  divisibility, memoized per class and keyed by the gap epoch.  Needs
-  the per-class allocation sequence counter and a cluster resampling
-  pass on every rate change.
-* :class:`HashBackend` — a pure function of the object id (xorshift
-  mix), matching the prime-gap inclusion probability per class with no
-  mutable per-class decision state and no resampling passes.  Rate
-  changes are a threshold update.
-* :class:`PoissonByteBackend` — a Poisson process over the allocation
-  byte stream (rate ``λ = 1 / (gap · unit_bytes)``): an object is
-  sampled iff at least one arrival lands in its byte extent, so
-  inter-sample byte distances are Exp(λ) (discretized at object
-  granularity).  Rate changes are a λ update.
-* :class:`HybridBackend` — Poisson for small scalars, hash for arrays
-  and large objects (the Continuous-Memory-Profiler HYBRID shape).
-
-Stateless selections are deterministic across runs and processes: the
-per-backend key is derived from :func:`repro.util.rng.seeded_rng`.
-They carry a known failure mode (the snippet's PAGE_HASH dead zone):
-a hash over immutable identities excludes a fixed subset of objects
-forever, so a class whose live population times its inclusion
-probability is below ~1 can be *entirely* unsampled.
-:meth:`StatelessBackend.dead_zone_report` flags such classes.
+The decision itself — is an object sampled, how many bytes are logged,
+and what Horvitz-Thompson weight do they carry — lives in
+:class:`PrimeGapBackend`, memoized per class under the gap epoch so a
+rate change invalidates exactly the classes it touched.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.array_sampling import amortized_sample_bytes, sampled_element_count
 from repro.heap.jclass import JClass
 from repro.heap.objects import HeapObject
 from repro.util.primes import prime_gap_for_nominal
-from repro.util.rng import seeded_rng
 from repro.util.validation import check_positive
 
 #: rate sentinel for full sampling.
 FULL = "full"
-
-_M64 = (1 << 64) - 1
-_ONE64 = 1 << 64
-#: odd multiplier decorrelating consecutive object ids before mixing.
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _mix64(x: int) -> int:
-    """The splitmix64 finalizer: a xorshift-multiply bijection on 64-bit
-    ints.  Pure integer arithmetic — identical on every host/process."""
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
-
-
-def _mix64_array(ids: np.ndarray, key: int) -> np.ndarray:
-    """Vectorized :func:`_mix64` over ``(ids * GOLDEN) ^ key``; uint64
-    wraparound matches the scalar mod-2^64 arithmetic exactly."""
-    x = (ids * np.uint64(_GOLDEN)) ^ np.uint64(key)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 @dataclass
@@ -114,111 +56,59 @@ class ClassSamplingState:
     #: while ``cache_epoch == epoch``.
     decisions: dict[int, tuple[bool, int, int]] = field(default_factory=dict)
 
-    def set_nominal(self, nominal: int) -> bool:
-        """Set a new nominal gap; returns True if the real gap changed."""
-        check_positive(nominal, "nominal gap")
-        nominal = max(nominal, self.min_gap)
-        real = prime_gap_for_nominal(nominal)
-        changed = real != self.real_gap
-        self.nominal_gap = nominal
-        if changed:
-            self.real_gap = real
-            self.epoch += 1
-            self.history.append(real)
-        return changed
 
+class PrimeGapBackend:
+    """The paper's per-class prime-gap decision: sequence divisibility
+    for scalars, any-element divisibility for arrays, memoized per class
+    under the gap epoch.
 
-# ---------------------------------------------------------------------------
-# backend protocol
-# ---------------------------------------------------------------------------
-
-
-class SamplingBackend:
-    """One sampling-decision scheme, pluggable under a SamplingPolicy.
-
-    The protocol is four methods — :meth:`decide`, :meth:`decide_batch`,
-    :meth:`epoch`, :meth:`snapshot` — plus two capability flags:
-
-    * ``memoized`` — decisions are cached in the per-class state
-      (``ClassSamplingState.decisions``) keyed by the gap epoch; hot
-      paths may probe that memo directly.
-    * ``needs_resample_pass`` — a gap change requires the cluster-wide
-      object re-tagging pass the paper charges (stateless backends
-      recompute decisions from immutable identity instead and skip it).
-
-    Every backend observes its own sample/skip counters per class
-    (evaluated decisions only: the memoized backend counts each cold
-    compute once; stateless backends count every evaluation).  Those
+    It counts its own sample/skip decisions per class, one per cold
+    decision per gap epoch (a memo hit is not counted).  Those counters
     feed the obs registry's ``sampling_decisions_total`` /
     ``sampling_realized_rate`` families.
     """
 
-    name = "abstract"
-    memoized = False
-    needs_resample_pass = False
+    name = "prime_gap"
 
-    def __init__(self) -> None:
-        self.policy: SamplingPolicy | None = None
+    def __init__(self, policy: "SamplingPolicy") -> None:
+        self.policy = policy
         #: class_id -> decisions that selected the object.
         self.sample_counts: dict[int, int] = {}
         #: class_id -> decisions that skipped the object.
         self.skip_counts: dict[int, int] = {}
 
-    def bind(self, policy: "SamplingPolicy") -> "SamplingBackend":
-        """Attach to the policy owning the per-class gap configuration."""
-        self.policy = policy
-        return self
-
-    # -- protocol ------------------------------------------------------
-
     def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
         """``(sampled, logged_bytes, scaled_bytes)`` for one object."""
-        raise NotImplementedError
-
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
-        """:meth:`decide` over an iterable, in input order.  Backends
-        override when a batch can be computed cheaper than a loop."""
-        decide = self.decide
-        return [decide(obj) for obj in objs]
-
-    def epoch(self, class_id: int | None = None) -> int:
-        """Staleness token for cached decisions: the class's gap epoch,
-        or (``class_id=None``) the policy-wide change generation."""
         policy = self.policy
-        if class_id is None:
-            return policy.rate_changes
-        st = policy._states.get(class_id)
-        return -1 if st is None else st.epoch
-
-    def snapshot(self) -> dict:
-        """Deterministically ordered digest of the backend's view: the
-        per-class realized parameters plus the decision counters."""
-        policy = self.policy
-        classes = {}
-        for cid in sorted(policy._states):
-            st = policy._states[cid]
-            classes[st.jclass.name] = {
-                "gap": st.real_gap,
-                "epoch": st.epoch,
-                "samples": self.sample_counts.get(cid, 0),
-                "skips": self.skip_counts.get(cid, 0),
-            }
-        return {"backend": self.name, "memoized": self.memoized, "classes": classes}
-
-    # -- shared helpers ------------------------------------------------
-
-    def _fresh_memo(self, st: ClassSamplingState) -> dict[int, tuple[bool, int, int]]:
-        """The one epoch-check/memo helper shared by the scalar and batch
-        decision paths: validate the class's decision cache against its
-        gap epoch, clearing a stale cache, and return it."""
+        st = policy._states.get(obj.jclass.class_id)
+        if st is None:
+            st = policy.state(obj.jclass)
         if st.cache_epoch != st.epoch:
             st.decisions.clear()
             st.cache_epoch = st.epoch
-        return st.decisions
+        memo = st.decisions
+        cached = memo.get(obj.obj_id)
+        if cached is not None:
+            return cached
+        result = self._compute(st, obj)
+        memo[obj.obj_id] = result
+        return result
 
-    def _count(self, class_id: int, sampled: bool) -> None:
+    def _compute(self, st: ClassSamplingState, obj: HeapObject) -> tuple[bool, int, int]:
+        gap = st.real_gap
+        if obj.is_array:
+            if gap == 1:
+                sampled = True
+            else:
+                sampled = sampled_element_count(obj.seq, obj.length, gap) > 0
+            logged = amortized_sample_bytes(obj, gap)
+        else:
+            sampled = True if gap == 1 else obj.seq % gap == 0
+            logged = obj.jclass.instance_size
         counts = self.sample_counts if sampled else self.skip_counts
+        class_id = st.jclass.class_id
         counts[class_id] = counts.get(class_id, 0) + 1
+        return (sampled, logged, logged * gap)
 
     def class_stats(self) -> dict[int, tuple[int, int]]:
         """class_id -> (samples, skips) over evaluated decisions."""
@@ -243,445 +133,29 @@ class SamplingBackend:
             if s + k > 0
         }
 
-    def expected_gap(self, st: ClassSamplingState) -> int:
-        """Mean object spacing between samples of the class (the
-        landmark-guard tolerance unit in sticky-set resolution)."""
-        return st.real_gap
-
-
-class PrimeGapBackend(SamplingBackend):
-    """The paper's per-class prime-gap scheme (the default): sequence
-    divisibility for scalars, any-element divisibility for arrays,
-    memoized per class under the gap epoch."""
-
-    name = "prime_gap"
-    memoized = True
-    needs_resample_pass = True
-
-    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
-        policy = self.policy
-        st = policy._states.get(obj.jclass.class_id)
-        if st is None:
-            st = policy.state(obj.jclass)
-        memo = self._fresh_memo(st)
-        cached = memo.get(obj.obj_id)
-        if cached is not None:
-            return cached
-        result = self._compute(st, obj)
-        memo[obj.obj_id] = result
-        return result
-
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
-        """Hoists the per-class state lookup and epoch check out of the
-        per-object loop: consecutive objects of the same class pay one
-        dict probe each.  The memo is shared with the scalar path, so
-        mixing the two APIs stays coherent."""
-        policy = self.policy
-        states = policy._states
-        out: list[tuple[bool, int, int]] = []
-        st = None
-        class_id = -1
-        memo: dict[int, tuple[bool, int, int]] = {}
-        for obj in objs:
-            cid = obj.jclass.class_id
-            if cid != class_id:
-                st = states.get(cid)
-                if st is None:
-                    st = policy.state(obj.jclass)
-                memo = self._fresh_memo(st)
-                class_id = cid
-            cached = memo.get(obj.obj_id)
-            if cached is None:
-                cached = self._compute(st, obj)
-                memo[obj.obj_id] = cached
-            out.append(cached)
-        return out
-
-    def _compute(self, st: ClassSamplingState, obj: HeapObject) -> tuple[bool, int, int]:
-        gap = st.real_gap
-        if obj.is_array:
-            if gap == 1:
-                sampled = True
-            else:
-                sampled = sampled_element_count(obj.seq, obj.length, gap) > 0
-            logged = amortized_sample_bytes(obj, gap)
-        else:
-            sampled = True if gap == 1 else obj.seq % gap == 0
-            logged = obj.jclass.instance_size
-        self._count(st.jclass.class_id, sampled)
-        return (sampled, logged, logged * gap)
-
-
-class StatelessBackend(SamplingBackend):
-    """Base for backends whose decision is a pure function of the
-    object's immutable identity and the class's current gap — no memo,
-    no per-object tags, no cluster resampling passes.  The selection
-    key is derived from :func:`repro.util.rng.seeded_rng`, so runs and
-    processes agree on which objects are selected."""
-
-    needs_resample_pass = False
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__()
-        self.seed = int(seed)
-        self._key = int(
-            seeded_rng(self.seed, "sampling", self.name).integers(
-                0, _ONE64, dtype=np.uint64
-            )
-        )
-
-    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
-        st = self.policy.state(obj.jclass)
-        result = self._kernel(obj, st)
-        self._count(st.jclass.class_id, result[0])
-        return result
-
-    def sampled_raw(self, obj: HeapObject) -> bool:
-        """The bare selection bit, without touching the counters (used
-        by :meth:`dead_zone_report` so probing is side-effect free)."""
-        return self._kernel(obj, self.policy.state(obj.jclass))[0]
-
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        raise NotImplementedError
-
-    def probability(self, obj: HeapObject) -> float:
-        """The object's inclusion probability under the current gap."""
-        raise NotImplementedError
-
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["seed"] = self.seed
-        snap["key"] = self._key
-        return snap
-
-    def dead_zone_report(self, gos, *, min_expected: float = 2.0) -> list[dict]:
-        """Flag classes whose live working set is below the backend's
-        resolvable population — the snippet's PAGE_HASH failure mode.
-
-        A stateless selection over immutable identities excludes a fixed
-        subset of objects for the lifetime of the run; when a class's
-        expected sample count (``Σ inclusion probability`` over its live
-        objects) falls under ``min_expected``, or no live object hashes
-        into the selection at all, the class's TCM contribution is
-        structurally biased (possibly zero) rather than noisy.  Returns
-        one record per flagged class, definition order.
-        """
-        out: list[dict] = []
-        for jclass in gos.registry:
-            objs = gos.objects_of_class(jclass)
-            if not objs:
-                continue
-            gap = self.policy.state(jclass).real_gap
-            if gap == 1:
-                continue
-            expected = 0.0
-            actual = 0
-            for obj in objs:
-                expected += self.probability(obj)
-                if self.sampled_raw(obj):
-                    actual += 1
-            if expected < min_expected or actual == 0:
-                out.append(
-                    {
-                        "class": jclass.name,
-                        "population": len(objs),
-                        "gap": gap,
-                        "expected_samples": round(expected, 6),
-                        "actual_samples": actual,
-                    }
-                )
-        return out
-
-
-class HashBackend(StatelessBackend):
-    """Stateless object-id hash selection (the snippet's STATELESS_HASH).
-
-    An object is selected iff a xorshift mix of its id falls under a
-    threshold realizing the class's prime-gap inclusion probability:
-    ``1/gap`` for scalars, ``min(1, length/gap)`` for arrays (matching
-    the element-wise scheme's any-element-sampled probability), with the
-    same amortized logged bytes and Horvitz-Thompson weights as the
-    default backend.  Rate changes are a pure threshold update — no
-    per-class decision state, no resampling pass.  All comparisons are
-    exact integer arithmetic (``h * gap < length << 64``), so scalar and
-    vectorized batch decisions agree bit-for-bit.
-    """
-
-    name = "hash"
-
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        jclass = obj.jclass
-        gap = st.real_gap
-        if obj.is_array:
-            logged = amortized_sample_bytes(obj, gap)
-            if gap == 1:
-                return (True, logged, logged)
-            h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
-            sampled = obj.length >= gap or h * gap < (obj.length << 64)
-        else:
-            logged = jclass.instance_size
-            if gap == 1:
-                return (True, logged, logged)
-            h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
-            sampled = h * gap < _ONE64
-        return (sampled, logged, logged * gap)
-
-    def probability(self, obj: HeapObject) -> float:
-        gap = self.policy.state(obj.jclass).real_gap
-        if gap == 1:
-            return 1.0
-        if obj.is_array:
-            return min(1.0, obj.length / gap)
-        return 1.0 / gap
-
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
-        """The decide_batch lane: one Python pass gathers per-object
-        (id, gap, length, unit) arrays, then numpy does the rest — the
-        splitmix mix, an exact 128-bit threshold comparison, and the
-        amortized logged/scaled byte arithmetic — bit-identical to the
-        scalar kernel.
-
-        The selection test unifies scalars and arrays: with ``L = 1``
-        for scalars and the element count for arrays,
-        ``h·gap < L·2^64  ⟺  floor(h·gap / 2^64) < L``, and the high
-        word of the 64x32-bit product is computed exactly in uint64
-        (``gap`` is far below 2^32).  The ``length >= gap`` and
-        ``gap == 1`` scalar-path short-circuits are subsumed: both make
-        the high word smaller than ``L`` for every hash.
-        """
-        objs = objs if isinstance(objs, list) else list(objs)
-        n = len(objs)
-        if n < 64:
-            return [self.decide(o) for o in objs]
-        policy = self.policy
-        ids = np.fromiter((o.obj_id for o in objs), dtype=np.uint64, count=n)
-        cids = np.fromiter((o.jclass.class_id for o in objs), dtype=np.int64, count=n)
-        raw_len = np.fromiter((o.length for o in objs), dtype=np.uint64, count=n)
-
-        # Per-class metadata goes through small class-id-indexed tables
-        # so the per-object work stays in C-level gathers no matter how
-        # classes interleave in the stream.
-        classes = {o.jclass.class_id: o.jclass for o in objs}
-        top = max(classes) + 1
-        gap_table = np.ones(top, dtype=np.uint64)
-        unit_table = np.zeros(top, dtype=np.int64)
-        arr_table = np.zeros(top, dtype=bool)
-        for cid, jclass in classes.items():  # simlint: disable=SIM003 (each cid writes its own table slot exactly once; order cannot matter)
-            st = policy.state(jclass)
-            gap_table[cid] = st.real_gap
-            arr_table[cid] = jclass.is_array
-            unit_table[cid] = (
-                jclass.element_size if jclass.is_array else jclass.instance_size
-            )
-        gaps = gap_table[cids]
-        units = unit_table[cids]
-        is_arr = arr_table[cids]
-        # Effective count L in the unified test h*gap < L*2^64: one for
-        # scalars, the element count for arrays (zero-length arrays are
-        # never sampled, matching the scalar kernel).
-        lengths = np.where(is_arr, raw_len, np.uint64(1))
-        h = _mix64_array(ids, self._key)
-        # High 64 bits of h*gap, exactly: h*gap = (h>>32)*gap*2^32 + lo.
-        lo = (h & np.uint64(0xFFFFFFFF)) * gaps
-        high64 = (((h >> np.uint64(32)) * gaps) + (lo >> np.uint64(32))) >> np.uint64(32)
-        sampled = high64 < lengths
-        # Amortized logged bytes: round-half-even element count for
-        # arrays at gap > 1 (np.rint matches round()), floored at one
-        # element; the element payload at gap 1; the instance size for
-        # scalars.
-        flen = lengths.astype(np.float64)
-        counts = np.where(
-            gaps == np.uint64(1),
-            flen,
-            np.where(
-                flen == 0.0,
-                0.0,
-                np.maximum(1.0, np.rint(flen / gaps.astype(np.float64))),
-            ),
-        ).astype(np.int64)
-        logged = np.where(is_arr, counts * units, units)
-        scaled = logged * gaps.astype(np.int64)
-        # Fold the decision counters in per class (identical totals to
-        # per-object _count calls).
-        uniq, inv = np.unique(cids, return_inverse=True)
-        per_class = np.bincount(inv, weights=sampled)
-        per_total = np.bincount(inv)
-        for j, cid in enumerate(uniq.tolist()):
-            s = int(per_class[j])
-            t = int(per_total[j])
-            self.sample_counts[cid] = self.sample_counts.get(cid, 0) + s
-            self.skip_counts[cid] = self.skip_counts.get(cid, 0) + (t - s)
-        return list(zip(sampled.tolist(), logged.tolist(), scaled.tolist()))
-
-
-class PoissonByteBackend(StatelessBackend):
-    """Stateless Poisson sampling over the allocation byte stream (the
-    snippet's POISSON_HEADER).
-
-    A Poisson process of rate ``λ = 1 / (gap · unit_bytes)`` runs over
-    allocated bytes; an object is sampled iff at least one arrival lands
-    in its extent, i.e. with probability ``1 − exp(−size·λ)``, realized
-    as a deterministic per-object uniform draw (seeded xorshift mix of
-    the object id).  Inter-sample byte distances are therefore Exp(λ)
-    up to object-granularity discretization.  The Horvitz-Thompson
-    weight is ``size / p`` — unbiased for any object size.  Rate changes
-    are a pure λ update.
-    """
-
-    name = "poisson"
-
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        jclass = obj.jclass
-        gap = st.real_gap
-        if obj.is_array:
-            size = obj.length * jclass.element_size
-            unit = jclass.element_size
-            logged = amortized_sample_bytes(obj, gap)
-        else:
-            size = jclass.instance_size
-            unit = jclass.instance_size
-            logged = jclass.instance_size
-        if gap == 1:
-            return (True, logged, logged)
-        h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
-        if size <= 0 or unit <= 0:
-            # Degenerate zero-byte class: fall back to plain 1/gap
-            # selection; there is no byte extent to weigh.
-            return (h * gap < _ONE64, 0, 0)
-        p = -math.expm1(-size / (gap * unit))
-        sampled = h < int(p * 18446744073709551616.0)  # p * 2^64
-        return (sampled, logged, int(round(size / p)))
-
-    def probability(self, obj: HeapObject) -> float:
-        jclass = obj.jclass
-        gap = self.policy.state(jclass).real_gap
-        if gap == 1:
-            return 1.0
-        if obj.is_array:
-            size, unit = obj.length * jclass.element_size, jclass.element_size
-        else:
-            size = unit = jclass.instance_size
-        if size <= 0 or unit <= 0:
-            return 1.0 / gap
-        return -math.expm1(-size / (gap * unit))
-
-    def expected_gap(self, st: ClassSamplingState) -> int:
-        gap = st.real_gap
-        if gap == 1:
-            return 1
-        return max(1, round(-1.0 / math.expm1(-1.0 / gap)))
-
-
-class HybridBackend(SamplingBackend):
-    """Poisson for small scalars, hash for arrays and large objects (the
-    snippet's HYBRID): header-byte Poisson keeps small-object estimates
-    low-variance while big, coarse-grained objects take the cheaper
-    hash test.  ``split_bytes`` is the routing boundary for scalars."""
-
-    name = "hybrid"
-    needs_resample_pass = False
-
-    def __init__(self, seed: int = 0, *, split_bytes: int = 256) -> None:
-        super().__init__()
-        check_positive(split_bytes, "split_bytes")
-        self.seed = int(seed)
-        self.split_bytes = int(split_bytes)
-        self.poisson = PoissonByteBackend(seed)
-        self.hash = HashBackend(seed)
-
-    def bind(self, policy: "SamplingPolicy") -> "HybridBackend":
-        super().bind(policy)
-        self.poisson.bind(policy)
-        self.hash.bind(policy)
-        return self
-
-    def route(self, obj: HeapObject) -> StatelessBackend:
-        """Which sub-backend decides this object."""
-        jclass = obj.jclass
-        if jclass.is_array or jclass.instance_size >= self.split_bytes:
-            return self.hash
-        return self.poisson
-
-    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
-        return self.route(obj).decide(obj)
-
-    def sampled_raw(self, obj: HeapObject) -> bool:
-        return self.route(obj).sampled_raw(obj)
-
-    def probability(self, obj: HeapObject) -> float:
-        return self.route(obj).probability(obj)
-
-    def dead_zone_report(self, gos, *, min_expected: float = 2.0):
-        return StatelessBackend.dead_zone_report(self, gos, min_expected=min_expected)
-
-    def class_stats(self) -> dict[int, tuple[int, int]]:
-        out: dict[int, tuple[int, int]] = {}
-        for sub in (self.poisson, self.hash):
-            for cid, (s, k) in sub.class_stats().items():  # simlint: disable=SIM003 (sub class_stats() is sorted-key; merge re-sorts below)
-                ps, pk = out.get(cid, (0, 0))
-                out[cid] = (ps + s, pk + k)
-        return dict(sorted(out.items()))
-
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["seed"] = self.seed
-        snap["split_bytes"] = self.split_bytes
-        snap["poisson"] = self.poisson.snapshot()
-        snap["hash"] = self.hash.snapshot()
-        return snap
-
-
-#: backend name -> constructor (the ``DJVM(sampling_backend="...")`` registry).
-BACKENDS: dict[str, type[SamplingBackend]] = {
-    PrimeGapBackend.name: PrimeGapBackend,
-    PoissonByteBackend.name: PoissonByteBackend,
-    HashBackend.name: HashBackend,
-    HybridBackend.name: HybridBackend,
-}
-
-
-def resolve_backend(spec) -> SamplingBackend:
-    """Normalize a backend spec — None (default), a registry name, or a
-    ready instance — into an unbound backend instance."""
-    if spec is None:
-        return PrimeGapBackend()
-    if isinstance(spec, SamplingBackend):
-        return spec
-    if isinstance(spec, str):
-        ctor = BACKENDS.get(spec)
-        if ctor is None:
-            raise ValueError(
-                f"unknown sampling backend {spec!r}; known: {sorted(BACKENDS)}"
-            )
-        return ctor()
-    raise TypeError(f"sampling backend must be None, a name or a SamplingBackend, got {spec!r}")
-
 
 class SamplingPolicy:
     """Cluster-wide sampling configuration: one gap per class, plus the
-    pluggable decision backend that realizes it."""
+    prime-gap decision backend that realizes it."""
 
     def __init__(
         self,
         page_size: int = 4096,
         *,
         use_prime_gaps: bool = True,
-        backend=None,
     ) -> None:
         check_positive(page_size, "page_size")
         self.page_size = int(page_size)
         #: disable to ablate the prime-gap design choice.
         self.use_prime_gaps = use_prime_gaps
         self._states: dict[int, ClassSamplingState] = {}
-        #: total gap-change events (each triggers cluster-wide resampling
-        #: under the memoized backend; stateless backends treat it as a
-        #: λ / threshold update generation).
+        #: total gap-change events (each triggers cluster-wide resampling).
         self.rate_changes = 0
         #: class_id -> current real gap; a precomputed table the hot
         #: profiling path reads instead of re-deriving gaps per access.
         self.gap_table: dict[int, int] = {}
-        #: the pluggable decision scheme.
-        self.backend: SamplingBackend = resolve_backend(backend).bind(self)
+        #: the per-object decision and its counters.
+        self.backend = PrimeGapBackend(self)
         #: True once :meth:`preseed` applied static-analysis rates.
         self.preseeded = False
 
@@ -702,12 +176,6 @@ class SamplingPolicy:
         """Current real (prime) sampling gap of a class."""
         return self.state(jclass).real_gap
 
-    def expected_gap(self, jclass: JClass) -> int:
-        """Mean object spacing between samples of a class under the
-        active backend — the prime gap for divisibility/hash selection,
-        the rounded inverse inclusion probability for Poisson."""
-        return self.backend.expected_gap(self.state(jclass))
-
     def _sampling_unit_size(self, jclass: JClass) -> int:
         """Byte size of the sampling unit: the element for array classes
         (elements carry the sequence numbers), the instance otherwise."""
@@ -725,9 +193,7 @@ class SamplingPolicy:
 
     def set_rate(self, jclass: JClass, rate: float | str) -> bool:
         """Set a class's gap from a page-relative rate; returns True when
-        the real gap changed (a cluster resampling pass is then due
-        under the memoized backend; stateless backends just see a new
-        λ / threshold through the gap)."""
+        the real gap changed (a cluster resampling pass is then due)."""
         return self.set_nominal_gap(jclass, self.nominal_gap_for_rate(jclass, rate))
 
     def set_nominal_gap(self, jclass: JClass, nominal: int) -> bool:
@@ -781,9 +247,7 @@ class SamplingPolicy:
 
     def set_min_gap(self, jclass: JClass, min_gap: int) -> None:
         """Lower-bound a class's gap (sticky-set footprinting's guard
-        against runaway repeated-tracking cost).  Under stateless
-        backends the clamp caps the inclusion probability at
-        ``1/min_gap`` through the same gap realization."""
+        against runaway repeated-tracking cost)."""
         check_positive(min_gap, "min_gap")
         st = self.state(jclass)
         st.min_gap = int(min_gap)
@@ -791,7 +255,7 @@ class SamplingPolicy:
             self.set_nominal_gap(jclass, st.min_gap)
 
     # ------------------------------------------------------------------
-    # sampling decisions (delegated to the backend)
+    # sampling decisions
     # ------------------------------------------------------------------
 
     def decision(self, obj: HeapObject) -> tuple[bool, int, int]:
@@ -799,26 +263,20 @@ class SamplingPolicy:
         ``(sampled, logged_bytes, scaled_bytes)``.
 
         Decisions are pure functions of the object's immutable identity
-        (class, seq/id, length) and the class's current gap, delegated
-        to the active :class:`SamplingBackend`.  The default memoized
-        backend caches them per class keyed by the gap *epoch*: any gap
+        (class, seq/id, length) and the class's current gap.
+        :class:`PrimeGapBackend` caches them per class keyed by the gap
+        *epoch*: any gap
         change bumps :attr:`ClassSamplingState.epoch`, which invalidates
         the whole class cache on the next lookup, so between rate
         changes the hot profiling path pays one dict probe per object.
         """
         return self.backend.decide(obj)
 
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
-        """Vectorized :meth:`decision` over an iterable of objects, in
-        input order (the backend's batch lane)."""
-        return self.backend.decide_batch(objs)
-
     def is_sampled(self, obj: HeapObject) -> bool:
         """Is this object currently sampled?
 
         Scalars: sequence number divisible by the class gap.  Arrays:
-        at least one element logically sampled (Fig. 3b).  Other
-        backends substitute their own selection at the same rate.
+        at least one element logically sampled (Fig. 3b).
         """
         return self.backend.decide(obj)[0]
 
@@ -829,8 +287,7 @@ class SamplingPolicy:
 
     def scaled_bytes(self, obj: HeapObject) -> int:
         """Horvitz-Thompson estimate this sample contributes: logged
-        bytes times the gap (each sample stands for ``gap`` units), or
-        the backend's equivalent inverse-probability weight."""
+        bytes times the gap (each sample stands for ``gap`` units)."""
         return self.backend.decide(obj)[2]
 
     def effective_rate(self, jclass: JClass) -> float:

@@ -154,10 +154,6 @@ class HomeBasedLRC:
         # contract (empty with no hooks), else None: the access path's
         # and the vector engine's fast dispatch.
         self._touch_hooks: tuple | None = ()
-        # decide_batch lanes (``prime_batch``) of the hooks advertising
-        # ``wants_batch_prime`` (stateless sampling backends), for the
-        # vector engine.
-        self._prime_hooks: tuple = ()
         # Nullable observer slots (see OBSERVER_SLOTS): all None until
         # attach_observer wires one; hot paths check with `is not None`.
         for slot in OBSERVER_SLOTS:
@@ -211,8 +207,6 @@ class HomeBasedLRC:
             self._touch_hooks = None
         elif self._touch_hooks is not None:
             self._touch_hooks = (*self._touch_hooks, fast)
-        if getattr(hook, "wants_batch_prime", False):
-            self._prime_hooks = (*self._prime_hooks, hook.prime_batch)
 
     @property
     def counters(self) -> dict[str, int]:

@@ -247,11 +247,11 @@ def _collect_suite(reg: MetricsRegistry, suite) -> None:
 
 
 def _collect_sampling(reg: MetricsRegistry, suite) -> None:
-    """Per-backend sampling decision statistics: evaluated decisions by
-    outcome and the realized per-class sampled fraction.  Host-side
-    observability only — counters track *evaluated* decisions (the
-    memoized prime-gap backend evaluates once per epoch per object; the
-    gap==1 fast path bypasses decision evaluation entirely)."""
+    """Sampling decision statistics: evaluated decisions by outcome and
+    the realized per-class sampled fraction.  Host-side observability
+    only — counters track *evaluated* decisions (the memoized prime-gap
+    backend evaluates once per epoch per object; the gap==1 fast path
+    bypasses decision evaluation entirely)."""
     policy = getattr(suite, "policy", None)
     backend = getattr(policy, "backend", None)
     if backend is None:

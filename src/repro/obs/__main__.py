@@ -47,6 +47,7 @@ from pathlib import Path
 from repro.analysis import experiments as E
 from repro.obs.export import chrome_trace, prometheus_text, validate_chrome_trace, write_chrome_trace
 from repro.obs.overhead import OverheadReport, measure
+from repro.util.validation import non_negative_int, positive_int, sampling_rate
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -68,7 +69,6 @@ def _run(
     nodes: int,
     rate: float | str,
     telemetry: str = "full",
-    backend: str | None = None,
     objprof: bool = False,
 ):
     factory = WORKLOADS[workload]
@@ -78,17 +78,15 @@ def _run(
         rate=rate,
         send_oals=True,
         telemetry=telemetry,
-        sampling_backend=backend,
         objprof=objprof,
     )
 
 
 def cmd_summary(args) -> int:
-    run = _run(args.workload, args.nodes, args.rate, backend=args.backend)
+    run = _run(args.workload, args.nodes, args.rate)
     telemetry = run.djvm.telemetry
     run.suite.collector.tcm()  # fold pending batches so TCM gauges are final
     print(f"# {args.workload} on {args.nodes} nodes, rate {args.rate}")
-    print(f"# sampling backend: {run.suite.policy.backend.name}")
     print(f"# simulated execution {run.result.execution_time_ms:.3f} ms")
     print(telemetry.summary())
     print(f"# telemetry self-overhead {telemetry.self_wall_ns / 1e6:.2f} ms wall")
@@ -96,7 +94,7 @@ def cmd_summary(args) -> int:
 
 
 def cmd_export(args) -> int:
-    run = _run(args.workload, args.nodes, args.rate, backend=args.backend)
+    run = _run(args.workload, args.nodes, args.rate)
     telemetry = run.djvm.telemetry
     run.suite.collector.tcm()
     doc = write_chrome_trace(args.trace, telemetry.tracer)
@@ -266,15 +264,13 @@ def static_vs_dynamic(workload: str, nodes: int, rate: float | str) -> dict:
     }
 
 
-def build_objprof_report(
-    workload: str, nodes: int, rate: float | str, backend: str | None = None
-):
+def build_objprof_report(workload: str, nodes: int, rate: float | str):
     """Run one workload with the object-centric profiler attached and
     build its ranked report (telemetry stays off: the objprof observer
     needs no metrics registry, and the report must not depend on one)."""
     from repro.obs.report import build_report
 
-    run = _run(workload, nodes, rate, telemetry=None, backend=backend, objprof=True)
+    run = _run(workload, nodes, rate, telemetry=None, objprof=True)
     djvm = run.djvm
     return run, build_report(
         djvm.objprof,
@@ -288,9 +284,7 @@ def build_objprof_report(
 
 
 def cmd_report(args) -> int:
-    _run_record, report = build_objprof_report(
-        args.workload, args.nodes, args.rate, backend=args.backend
-    )
+    _run_record, report = build_objprof_report(args.workload, args.nodes, args.rate)
     if args.json:
         print(json.dumps(report.to_json(), indent=1))
     else:
@@ -399,17 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_args(p):
-        from repro.core.sampling import BACKENDS
-
         p.add_argument("--workload", choices=sorted(WORKLOADS), default="sor")
-        p.add_argument("--nodes", type=int, default=2)
-        p.add_argument("--rate", default=4, type=lambda v: v if v == "full" else float(v))
-        p.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default=None,
-            help="sampling backend (default: prime_gap)",
-        )
+        p.add_argument("--nodes", type=positive_int, default=2)
+        p.add_argument("--rate", default=4, type=sampling_rate)
 
     p = sub.add_parser("summary", help="run a workload, print the metrics digest")
     add_run_args(p)
@@ -429,14 +415,16 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gate", help="the make-obs CI gate")
     p.add_argument("--max-overhead", type=float, default=0.15)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=positive_int, default=5)
     p.set_defaults(fn=cmd_gate)
 
     p = sub.add_parser(
         "report", help="ranked object-centric inefficiency report for one workload"
     )
     add_run_args(p)
-    p.add_argument("--top", type=int, default=10, help="findings shown in the table")
+    p.add_argument(
+        "--top", type=non_negative_int, default=10, help="findings shown in the table"
+    )
     p.add_argument(
         "--json",
         action="store_true",

@@ -29,7 +29,7 @@ Event sources folded per object:
   align with copy epochs.
 * **OAL batches** (:meth:`on_oal_batch`, from the access profiler) —
   Horvitz–Thompson-weighted access mass: ``scaled_bytes`` is already
-  gap-scaled by the active sampling backend, so summing it estimates
+  gap-scaled by the prime-gap sampling decision, so summing it estimates
   the site's true access mass from the sampled subset.
 * **barrier releases** (:meth:`on_barrier_release`) — lifetime *phase*
   boundaries; each record keeps the first/last phase it was active in.

@@ -78,7 +78,6 @@ class DJVM:
         kernel: str = "serial",
         partitions: int | None = None,
         replay: str = "vector",
-        sampling_backend=None,
         objprof: bool = False,
         validate_effects: "bool | object" = True,
     ) -> None:
@@ -104,11 +103,6 @@ class DJVM:
         #: access replay mode handed to the interpreter ("vector" bulk
         #: replay or the "scalar" per-op oracle).
         self.replay = replay
-        #: sampling-decision backend for any ProfilerSuite attached to
-        #: this DJVM: None (the paper's prime-gap scheme), a registry
-        #: name ("prime_gap" | "poisson" | "hash" | "hybrid"), or a
-        #: ready repro.core.sampling.SamplingBackend instance.
-        self.sampling_backend = sampling_backend
         #: partitioned-kernel worker certification against the committed
         #: ``effects.json``: True (load it if present), False (off), or
         #: an injected :class:`~repro.checks.effects.summary.EffectsSummary`.

@@ -322,12 +322,6 @@ class VectorEngine:
             # checkpoint lane stays engaged and summaries are created
             # in-walk.
             fast = hl._touch_hooks
-            for prime in hl._prime_hooks:
-                # decide_batch lane: stateless sampling backends batch
-                # this run's distinct-object decisions up front (host-
-                # side cache only; simulated costs are unchanged, so
-                # vector and scalar replay stay byte-identical).
-                prime([objects[oid] for oid in uniq])
             checkpoints = run.checkpoints
             defer = False
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.sampling import SamplingPolicy
+from repro.core.sampling import PrimeGapBackend, SamplingPolicy
 from repro.heap.heap import GlobalObjectSpace
 from repro.util.primes import is_prime
 
@@ -243,19 +243,8 @@ class TestDecisionCacheStaleness:
 
 
 class TestBatchDecisions:
-    """decide_batch mirrors decision() exactly and shares its memo."""
-
-    def test_batch_matches_scalar_in_order(self):
-        gos = gos_with_classes()
-        policy = SamplingPolicy()
-        body = gos.registry.get("Body")
-        arr = gos.registry.get("double[]")
-        policy.set_nominal_gap(body, 5)
-        policy.set_nominal_gap(arr, 7)
-        objs = [gos.allocate(body, 0) for _ in range(30)]
-        objs += [gos.allocate(arr, 0, length=40) for _ in range(10)]
-        objs += objs[:7]  # repeats exercise the memo
-        assert policy.decide_batch(objs) == [policy.decision(o) for o in objs]
+    """A run of objects decided back to back (as the access hooks do)
+    must never mix decisions from two gap epochs."""
 
     def test_batch_respects_epoch_invalidation(self):
         gos = gos_with_classes()
@@ -263,30 +252,116 @@ class TestBatchDecisions:
         body = gos.registry.get("Body")
         objs = [gos.allocate(body, 0) for _ in range(16)]
         policy.set_nominal_gap(body, 5)
-        before = policy.decide_batch(objs)
+        before = [policy.decision(o) for o in objs]
         policy.set_nominal_gap(body, 13)
-        after = policy.decide_batch(objs)
+        after = [policy.decision(o) for o in objs]
         assert after != before
-        assert after == [policy.decision(o) for o in objs]
+        fresh = SamplingPolicy()
+        fresh.set_nominal_gap(body, 13)
+        assert after == [fresh.decision(o) for o in objs]
+        # Going back to the old gap is another epoch: the batch is
+        # recomputed, not served from the gap-13 memo.
+        policy.set_nominal_gap(body, 5)
+        assert [policy.decision(o) for o in objs] == before
 
-    def test_batch_interleaved_classes(self):
-        """Class changes mid-batch reload the right per-class state."""
+
+class TestPrimeGapBackend:
+    """The policy's one decision backend: its name and counters are read
+    by the ``sampling_*`` telemetry families and the benchmark's
+    ``core.sampling.decisions`` figure."""
+
+    def test_backend_named_prime_gap(self):
+        policy = SamplingPolicy()
+        assert isinstance(policy.backend, PrimeGapBackend)
+        assert policy.backend.name == "prime_gap"
+
+    def test_scalar_divisibility_preserved(self):
+        gos = gos_with_classes()
+        body = gos.registry.get("Body")
+        policy = SamplingPolicy()
+        policy.set_rate(body, 1)
+        gap = policy.gap(body)
+        assert is_prime(gap)
+        for _ in range(5 * gap):
+            obj = gos.allocate("Body", home_node=0)
+            sampled, logged, scaled = policy.decision(obj)
+            assert sampled == (obj.seq % gap == 0)
+            if sampled:
+                assert logged == body.instance_size
+                assert scaled == logged * gap
+
+    def test_decision_on_unseen_class_creates_state(self):
+        gos = gos_with_classes()
+        policy = SamplingPolicy()
+        body = gos.registry.get("Body")
+        objs = [gos.allocate(body, 0) for _ in range(4)]
+        assert all(policy.decision(o)[0] for o in objs)  # default gap 1
+        assert policy.state(body).real_gap == 1
+        assert body.class_id in policy.gap_table
+
+    def test_decision_counter_contract(self):
+        """One count per cold decision per gap epoch: memo hits are not
+        counted, and a gap change makes every object count once more."""
         gos = gos_with_classes()
         policy = SamplingPolicy()
         body = gos.registry.get("Body")
         arr = gos.registry.get("double[]")
         policy.set_nominal_gap(body, 5)
         policy.set_nominal_gap(arr, 7)
-        mixed = []
-        for i in range(12):
-            mixed.append(gos.allocate(body, 0))
-            mixed.append(gos.allocate(arr, 0, length=25))
-        assert policy.decide_batch(mixed) == [policy.decision(o) for o in mixed]
+        bodies = [gos.allocate(body, 0) for _ in range(100)]
+        arrays = [gos.allocate(arr, 0, length=3) for _ in range(20)]
+        backend = policy.backend
+        for _ in range(3):  # repeats are served from the memo
+            decisions = [policy.decision(o) for o in bodies + arrays]
+        sampled = sum(d[0] for d in decisions)
+        assert backend.totals() == (sampled, len(decisions) - sampled)
+        body_sampled = sum(policy.is_sampled(o) for o in bodies)
+        assert body_sampled == 20
+        assert backend.class_stats()[body.class_id] == (20, 80)
+        assert backend.realized_rates()[body.class_id] == pytest.approx(0.2)
+        assert list(backend.realized_rates()) == sorted(backend.realized_rates())
 
-    def test_batch_on_unseen_class_creates_state(self):
+        policy.set_nominal_gap(body, 11)  # new epoch: cold again
+        for o in bodies:
+            policy.decision(o)
+        samples, skips = backend.class_stats()[body.class_id]
+        assert samples + skips == 2 * len(bodies)
+        assert samples == 20 + sum(o.seq % 11 == 0 for o in bodies)
+
+    def test_rate_change_schedules_resample(self):
+        from repro.core.profiler import ProfilerSuite
+        from repro.runtime.djvm import DJVM
+
+        djvm = DJVM(n_nodes=2)
+        djvm.spawn_threads(2)
+        suite = ProfilerSuite(djvm, correlation=True, send_oals=False)
+        jclass = djvm.gos.registry.define("Body", 96)
+        ap = suite.access_profiler
+        suite.policy.set_rate(jclass, 4)
+        ap.notify_rate_change(jclass)
+        assert sorted(ap._pending_resample) == [0, 1]
+        assert all(
+            pending == {jclass.class_id} for pending in ap._pending_resample.values()
+        )
+
+    def test_replay_filter_matches_direct_policy(self):
+        """tcm_at_rate equals filtering the same OAL stream with a policy
+        at that rate applied directly."""
+        from repro.analysis.experiments import tcm_at_rate
+        from repro.core.oal import OALBatch
+
         gos = gos_with_classes()
+        objs = [gos.allocate("Body", home_node=0) for _ in range(400)]
+        batches = []
+        for tid in (0, 1):  # both threads touch every object
+            batch = OALBatch(thread_id=tid, interval_id=0)
+            for o in objs:
+                batch.add(o.obj_id, o.jclass.instance_size, o.jclass.class_id)
+            batches.append(batch)
+        via_replay = tcm_at_rate(batches, gos, 2, 4)
         policy = SamplingPolicy()
-        body = gos.registry.get("Body")
-        objs = [gos.allocate(body, 0) for _ in range(4)]
-        out = policy.decide_batch(objs)
-        assert all(sampled for sampled, _, _ in out)  # default gap 1
+        for jclass in gos.registry:
+            policy.set_rate(jclass, 4)
+        expected = sum(policy.scaled_bytes(o) for o in objs if policy.is_sampled(o))
+        assert via_replay[0, 1] == expected == via_replay[1, 0]
+        assert 0 < sum(policy.is_sampled(o) for o in objs) < len(objs)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.__main__ import diff_snapshots, main, run_gate
 
 
@@ -97,3 +99,31 @@ def test_gate_passes_at_relaxed_budget(capsys):
     rc = run_gate(max_overhead=10.0, repeats=1, verbose=False)
     assert rc == 0
     assert "obs gate: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["summary", "export", "report", "compare"])
+@pytest.mark.parametrize(
+    "bad", [["--nodes", "0"], ["--nodes", "x"], ["--rate", "-2"], ["--rate", "0"], ["--rate", "abc"]]
+)
+def test_bad_run_arguments_exit_two(command, bad, capsys):
+    argv = [command, *bad]
+    if command == "export":
+        argv += ["--trace", "unused.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["report", "--top", "-3"], ["gate", "--repeats", "0"]])
+def test_bad_counts_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_report_top_zero_lists_no_rows(capsys):
+    assert main(["report", "--workload", "sor", "--top", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "more (use --top)" in out

@@ -61,3 +61,32 @@ class TestCommands:
             ["run", "group-sharing", "--nodes", "2", "--threads", "4", "--sticky"]
         )
         assert code == 0
+
+
+class TestBadInput:
+    """Bad numeric options exit 2 with a usage message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "sor", "--nodes", "0"],
+            ["run", "sor", "--threads", "0"],
+            ["run", "sor", "--nodes", "two"],
+            ["run", "sor", "--rate", "0"],
+            ["run", "sor", "--rate", "-4"],
+            ["run", "sor", "--rate", "abc"],
+            ["demo", "--nodes", "0"],
+            ["demo", "--threads", "-1"],
+        ],
+    )
+    def test_rejected_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rate", ["full", "0.5", "4"])
+    def test_valid_rates_keep_their_spelling(self, rate):
+        assert build_parser().parse_args(["run", "sor", "--rate", rate]).rate == rate
