@@ -27,7 +27,10 @@ Subcommands:
   highest-severity (numerically largest) failing code.
 
 Each failing subcommand exits with its own code (see ``--help``) so CI
-logs identify the failing gate without scraping stderr.
+logs identify the failing gate without scraping stderr.  Bad input — a
+path that does not exist, a source tree with no functions in it, an
+output file that cannot be written — exits 2 (``EXIT_USAGE``) rather
+than certifying nothing; so do lint paths holding no Python file.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from repro.checks.simlint import check_paths
+from repro.checks.simlint import check_paths, iter_python_files
 
 DEFAULT_LINT_PATHS = ["src", "tests", "benchmarks"]
 
+#: bad input: a missing path, an empty tree, an unwritable output.
+EXIT_USAGE = 2
 #: one distinct exit code per failing gate (0 = all clean).
 EXIT_LINT = 2
 EXIT_SANITIZE = 3
@@ -56,6 +62,13 @@ def run_lint(paths: list[str] | None = None) -> int:
     from repro.checks.effects.summary import EffectsSummary
 
     paths = paths or DEFAULT_LINT_PATHS
+    missing = [p for p in paths if not Path(p).exists()]
+    if missing:
+        print(f"simlint: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        return EXIT_USAGE
+    if next(iter_python_files(paths), None) is None:
+        print(f"simlint: no Python files under {', '.join(paths)}", file=sys.stderr)
+        return EXIT_USAGE
     findings = check_paths(paths, effects_summary=EffectsSummary.load())
     for finding in findings:
         print(finding.render())
@@ -199,14 +212,18 @@ def run_effects(
     the ``src`` tree, i.e. the repository root); ``json_path`` dumps the
     same document elsewhere without touching the committed copy.
     """
-    from pathlib import Path
-
     from repro.checks.effects import analyze_package
     from repro.checks.effects.rules import render_summary_line
     from repro.checks.effects.summary import DEFAULT_FILENAME
 
     root = Path(src_root) if src_root else Path(__file__).resolve().parents[2]
+    if not root.is_dir():
+        print(f"effects: no such source tree: {root}", file=sys.stderr)
+        return EXIT_USAGE
     report = analyze_package(root)
+    if not report.summaries:
+        print(f"effects: no functions found under {root} (not a source tree?)", file=sys.stderr)
+        return EXIT_USAGE
 
     for finding in report.findings:
         print(finding.render())
@@ -215,18 +232,20 @@ def run_effects(
             print(f"  suppressed: {finding.render()}")
         print(render_summary_line(report))
 
-    doc = None
+    outputs = []
     if json_path:
-        doc = report.to_json()
-        with open(json_path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"effects: wrote {json_path}")
+        outputs.append((json_path, ""))
     if write is not None:
-        target = Path(write) if write else root.parent / DEFAULT_FILENAME
-        doc = doc or report.to_json()
-        with open(target, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        outputs.append((Path(write) if write else root.parent / DEFAULT_FILENAME, "\n"))
+    doc = report.to_json() if outputs else None
+    for target, trailer in outputs:
+        try:
+            with open(target, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write(trailer)
+        except OSError as exc:
+            print(f"effects: cannot write {target}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"effects: wrote {target}")
 
     if report.findings:
@@ -277,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
             "exit codes: 0 all clean; "
             f"{EXIT_LINT} lint findings; {EXIT_SANITIZE} sanitizer violation; "
             f"{EXIT_RACE} race gate failed; {EXIT_STATIC} static gate failed; "
-            f"{EXIT_EFFECTS} effects gate failed. "
+            f"{EXIT_EFFECTS} effects gate failed; "
+            f"{EXIT_USAGE} also for bad input (missing path, empty tree, unwritable output). "
             "`all` runs every gate and exits with the highest failing code."
         ),
     )

@@ -22,24 +22,18 @@ logging, two throttles from the paper apply:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.sampling import SamplingPolicy
 from repro.dsm.intervals import IntervalRecord
 from repro.heap.objects import HeapObject
+from repro.sim.clock import NO_DEADLINE_NS, NS_PER_MS
 from repro.sim.costs import CostModel
 
-NS_PER_MS = 1_000_000
 
-
-@dataclass(slots=True)
-class _ObjStats:
-    """Per-(thread, interval, object) tracking statistics."""
-
-    count: int = 0
-    first_ns: int = 0
-    last_ns: int = 0
-    phases: set[int] = field(default_factory=set)
+#: per-(thread, interval, object) tracking statistics: ``(count,
+#: last_phase)`` — the number of tracking phases the object trapped in,
+#: and the last of them (phases only grow within an interval, so it is
+#: the only one a later access can repeat).
+_ObjStats = tuple[int, int]
 
 
 class StickySetFootprinter:
@@ -51,7 +45,8 @@ class StickySetFootprinter:
         "timer_period_ns",
         "duty",
         "min_accesses",
-        "enabled",
+        "_enabled",
+        "_rearm",
         "_stats",
         "_interval_start",
         "interval_footprints",
@@ -85,7 +80,10 @@ class StickySetFootprinter:
         self.duty = duty
         #: accesses needed within an interval for an object to count as sticky.
         self.min_accesses = min_accesses
-        self.enabled = enabled
+        self._enabled = enabled
+        #: re-arm callbacks of the engines dispatching to this hook (see
+        #: bind_rearm).
+        self._rearm: list = []
         #: thread_id -> {obj_id: _ObjStats} for the open interval.
         self._stats: dict[int, dict[int, _ObjStats]] = {}
         #: thread_id -> interval start time (phase reference).
@@ -104,13 +102,33 @@ class StickySetFootprinter:
         self._policy_states = policy._states
         self._track_ns = costs.gos_trap_ns + costs.footprint_track_ns
 
+    @property
+    def enabled(self) -> bool:
+        """Whether the hook tracks at all; flipping it re-arms the
+        deadlines :meth:`track_access` already handed out."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = value
+        for rearm in self._rearm:
+            rearm()
+
+    def bind_rearm(self, rearm) -> None:
+        """Take an engine's re-arm callback (``HomeBasedLRC.add_hook``
+        passes it): it is called whenever a deadline returned by
+        :meth:`track_access` may no longer hold — a real gap change (the
+        object's sampling decision moved) or an ``enabled`` flip."""
+        self._rearm.append(rearm)
+        self.policy.gap_listeners.append(rearm)
+
     # ------------------------------------------------------------------
     # ProtocolHooks interface
     # ------------------------------------------------------------------
 
     def on_interval_open(self, thread) -> None:
         """ProtocolHooks: a new HLRC interval just opened for ``thread``."""
-        if not self.enabled:
+        if not self._enabled:
             return
         self._stats[thread.thread_id] = {}
         self._interval_start[thread.thread_id] = thread.clock.now_ns
@@ -129,27 +147,40 @@ class StickySetFootprinter:
         """ProtocolHooks: one access op executed (see class docstring)."""
         self.track_access(thread, obj)
 
-    def track_access(self, thread, obj: HeapObject) -> None:
+    def track_access(self, thread, obj: HeapObject) -> int:
         """Positional every-access form of :meth:`on_access` (tracking
         depends only on the thread, the object and the clock); the
-        protocol's access dispatch calls this directly."""
-        if not self.enabled:
-            return
+        protocol's access dispatch calls this directly.
+
+        Returns the re-arm deadline: the clock time before which another
+        access to ``obj`` by ``thread`` in this interval would do nothing
+        — the next tracking phase's start, or :data:`NO_DEADLINE_NS` for
+        an object that is not sampled (until a gap change re-arms it).
+        The engine skips the call until the deadline passes, so only the
+        first access of each phase reaches this method, as only that
+        access traps in the paper's scheme."""
+        if not self._enabled:
+            return NO_DEADLINE_NS
         tid = thread.thread_id
         stats = self._stats.get(tid)
         if stats is None:
-            return
+            return NO_DEADLINE_NS
         now = thread.clock._now_ns
         period = self.timer_period_ns
         if period is None:
             # Nonstop mode: always tracking, with phases synthesized at
             # 1 ms so the multi-phase stickiness signal still exists.
             phase = now // NS_PER_MS
+            deadline = (phase + 1) * NS_PER_MS
         else:
-            since = now - self._interval_start.get(tid, 0)
-            if (since % period) / period >= self.duty:
-                return  # tracking-off phase: the access is invisible
+            start = self._interval_start.get(tid, 0)
+            since = now - start
             phase = since // period
+            # The next on-phase starts with the next period, whether
+            # this access fell in an on- or an off-phase.
+            deadline = start + (phase + 1) * period
+            if (since % period) / period >= self.duty:
+                return deadline  # tracking-off phase: the access is invisible
         # Sampled?  Probe the class's epoch-keyed decision memo inline;
         # fall back to decision() on a miss or a stale cache.
         st = self._policy_states.get(obj.jclass.class_id)
@@ -159,29 +190,29 @@ class StickySetFootprinter:
         if dec is None:
             dec = self.policy.decision(obj)
         if not dec[0]:
-            return
+            return NO_DEADLINE_NS
         # Repeated tracking works by re-resetting sampled objects to
         # false-invalid at each tracking phase: the first access of each
         # phase traps (and is what gets counted — the access-frequency
         # signal has phase granularity); later accesses in the same phase
         # run the fast path free of charge.
-        entry = stats.get(obj.obj_id)
+        obj_id = obj.obj_id
+        entry = stats.get(obj_id)
         if entry is None:
-            entry = _ObjStats(first_ns=now)
-            stats[obj.obj_id] = entry
-        entry.last_ns = now
-        if phase in entry.phases:
-            return
-        entry.phases.add(phase)
-        entry.count += 1
+            stats[obj_id] = (1, phase)
+        elif entry[1] == phase:
+            return deadline
+        else:
+            stats[obj_id] = (entry[0] + 1, phase)
         ns = self._track_ns
         thread.cpu.footprinting_ns += ns
         thread.clock._now_ns += ns
         self.tracked_accesses += 1
+        return deadline
 
     def on_interval_close(self, thread, interval: IntervalRecord, sync_dst: int | None) -> None:
         """ProtocolHooks: ``thread`` closed ``interval``."""
-        if not self.enabled:
+        if not self._enabled:
             return
         tid = thread.thread_id
         stats = self._stats.pop(tid, None)
@@ -200,9 +231,10 @@ class StickySetFootprinter:
     # ------------------------------------------------------------------
 
     def _footprint_from_stats(self, stats: dict[int, _ObjStats]) -> dict[str, int]:
-        """Per-class sticky bytes: sampled objects accessed at least
-        ``min_accesses`` times (or spanning >= 2 tracking phases), scaled
-        by the gap (Horvitz-Thompson) to estimate the class total."""
+        """Per-class sticky bytes: sampled objects tracked in at least
+        ``min_accesses`` phases (or in >= 2 — the count is per phase),
+        scaled by the gap (Horvitz-Thompson) to estimate the class
+        total."""
         fp: dict[str, int] = {}
         gos = self._gos
         if gos is None:
@@ -213,8 +245,9 @@ class StickySetFootprinter:
                     "ProfilerSuite does this automatically)"
                 )
             return fp
-        for obj_id, entry in stats.items():  # simlint: disable=SIM003 (float footprint accrual; stats follow the deterministic access-recording order)
-            if entry.count < self.min_accesses and len(entry.phases) < 2:
+        threshold = min(self.min_accesses, 2)
+        for obj_id, (count, _) in stats.items():  # simlint: disable=SIM003 (float footprint accrual; stats follow the deterministic access-recording order)
+            if count < threshold:
                 continue
             obj = gos.get(obj_id)
             fp[obj.jclass.name] = fp.get(obj.jclass.name, 0) + self.policy.scaled_bytes(obj)
@@ -235,10 +268,9 @@ class StickySetFootprinter:
     def live_sticky_candidates(self, thread) -> list[int]:
         """Object ids currently qualifying as sticky in the open interval."""
         stats = self._stats.get(thread.thread_id, {})
+        threshold = min(self.min_accesses, 2)
         return [  # simlint: disable=SIM003 (result order must mirror the open interval's access-recording order)
-            oid
-            for oid, entry in stats.items()
-            if entry.count >= self.min_accesses or len(entry.phases) >= 2
+            oid for oid, (count, _) in stats.items() if count >= threshold
         ]
 
     def recent_tracked_ids(self, thread, *, window: int = 3) -> set[int]:

@@ -158,6 +158,10 @@ class SamplingPolicy:
         self.backend = PrimeGapBackend(self)
         #: True once :meth:`preseed` applied static-analysis rates.
         self.preseeded = False
+        #: callables run after every real gap change: an access engine
+        #: re-arms the deadlines its every-access hooks handed out, since
+        #: a changed gap can turn an unsampled object sampled.
+        self.gap_listeners: list = []
 
     # ------------------------------------------------------------------
     # configuration
@@ -216,6 +220,8 @@ class SamplingPolicy:
             st.history.append(real)
             self.gap_table[st.jclass.class_id] = real
             self.rate_changes += 1
+            for listener in self.gap_listeners:
+                listener()
         return changed
 
     def set_rate_all(self, classes, rate: float | str) -> list[JClass]:

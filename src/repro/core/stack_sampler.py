@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime.interpreter import NO_DEADLINE_NS
 from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread
+from repro.sim.clock import NO_DEADLINE_NS
 from repro.sim.costs import CostModel
 
 NS_PER_MS = 1_000_000

@@ -42,6 +42,7 @@ from repro.dsm.sync import SyncRegistry
 from repro.heap.heap import GlobalObjectSpace, LocalHeap
 from repro.heap.objects import HeapObject
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.clock import NO_DEADLINE_NS
 from repro.sim.cluster import Cluster
 from repro.sim.network import MessageKind
 
@@ -55,7 +56,13 @@ class ProtocolHooks(Protocol):
     * ``fast_on_access(thread, obj, real_fault)`` — the *first-touch*
       contract: called only on the first touch of an object in an
       interval (the only access that can trap);
-    * ``track_access(thread, obj)`` — called on every access.
+    * ``track_access(thread, obj) -> int`` — the *re-arm* contract:
+      called on the first touch, then again only once the thread's
+      clock reaches the deadline it returned (:data:`NO_DEADLINE_NS`:
+      not again this interval).  A call before its own deadline must do
+      nothing, and a hook whose deadlines can go stale other than by the
+      clock passing them offers ``bind_rearm(rearm)`` and calls
+      ``rearm()`` when they do.
     """
 
     def on_interval_open(self, thread) -> None:
@@ -83,7 +90,7 @@ class ProtocolHooks(Protocol):
 
 #: access-dispatch modes of a hook in the engine's plan (see add_hook).
 _FIRST_TOUCH = 0  # fast_on_access(thread, obj, real_fault), first touches only
-_EVERY_ACCESS = 1  # track_access(thread, obj), every access
+_EVERY_ACCESS = 1  # track_access(thread, obj) -> deadline, first touch and re-arms
 _KEYWORD = 2  # on_access(thread, obj, **access), every access
 
 #: coherence states hoisted to module level for the access fast path.
@@ -154,6 +161,15 @@ class HomeBasedLRC:
         # contract (empty with no hooks), else None: the access path's
         # and the vector engine's fast dispatch.
         self._touch_hooks: tuple | None = ()
+        # True while no hook takes the keyword route: a repeat access
+        # before its summary's re-arm deadline then has nothing to call.
+        self._rearm_exit = True
+        # Bumped by rearm(); lets an access tell that its hooks re-armed
+        # the summary it is about to store a deadline into.
+        self._rearm_gen = 0
+        # thread_id -> thread, for every thread that opened an interval
+        # here (rearm walks their open intervals).
+        self._threads: dict[int, object] = {}
         # Nullable observer slots (see OBSERVER_SLOTS): all None until
         # attach_observer wires one; hot paths check with `is not None`.
         for slot in OBSERVER_SLOTS:
@@ -193,20 +209,44 @@ class HomeBasedLRC:
         Accesses call each hook in registration order, through the
         cheapest entry point it offers: ``fast_on_access`` positionally
         on interval-first touches, else ``track_access`` positionally on
-        every access, else the keyword :meth:`ProtocolHooks.on_access`
-        on every access."""
+        the first touch and whenever the summary's re-arm deadline has
+        passed, else the keyword :meth:`ProtocolHooks.on_access` on
+        every access.
+
+        Re-arm: each access summary stores the minimum of the deadlines
+        its every-access hooks returned; a hook whose own deadline lies
+        later may thus be called early, which its contract makes a
+        no-op.  Deadlines are reset (:meth:`rearm`) when a hook is added
+        and whenever a hook's ``bind_rearm`` callback fires."""
         fast = getattr(hook, "fast_on_access", None)
         if fast is not None:
             step = (_FIRST_TOUCH, fast)
         else:
             track = getattr(hook, "track_access", None)
-            step = (_EVERY_ACCESS, track) if track is not None else (_KEYWORD, hook.on_access)
+            if track is not None:
+                step = (_EVERY_ACCESS, track)
+                bind = getattr(hook, "bind_rearm", None)
+                if bind is not None:
+                    bind(self.rearm)
+            else:
+                step = (_KEYWORD, hook.on_access)
+                self._rearm_exit = False
         self.hooks = (*self.hooks, hook)
         self._hook_plan = (*self._hook_plan, step)
         if fast is None:
             self._touch_hooks = None
         elif self._touch_hooks is not None:
             self._touch_hooks = (*self._touch_hooks, fast)
+        self.rearm()
+
+    def rearm(self) -> None:
+        """Reset the re-arm deadline of every summary in every open
+        interval, so the next access to each object calls the
+        every-access hooks again."""
+        self._rearm_gen += 1
+        for thread in self._threads.values():  # simlint: disable=SIM003 (independent per-summary resets; order cannot leak)
+            for summary in thread.current_interval.accesses.values():  # simlint: disable=SIM003 (independent per-summary resets; order cannot leak)
+                summary.rearm_ns = 0
 
     @property
     def counters(self) -> dict[str, int]:
@@ -437,14 +477,30 @@ class HomeBasedLRC:
                 for fast in touch:
                     fast(thread, obj, faulted)
             return
+        rearm = summary.rearm_ns
+        if now < rearm and self._rearm_exit:
+            # A repeat touch before the re-arm deadline: first-touch
+            # hooks are done with this object and every every-access
+            # hook would do nothing (the object is re-reset to
+            # false-invalid only at its next tracking phase).
+            return
         if obj is None:
             obj = self._objects[obj_id]
+        gen = self._rearm_gen
+        next_rearm = NO_DEADLINE_NS
         for mode, entry in self._hook_plan:
             if mode == _FIRST_TOUCH:
                 if first_touch:
                     entry(thread, obj, faulted)
             elif mode == _EVERY_ACCESS:
-                entry(thread, obj)
+                # The clock at call time: a keyword hook earlier in the
+                # plan may have advanced it.
+                if clock._now_ns >= rearm:
+                    deadline = entry(thread, obj)
+                    if deadline < next_rearm:
+                        next_rearm = deadline
+                elif rearm < next_rearm:
+                    next_rearm = rearm  # a lower bound of its own deadline
             else:
                 entry(
                     thread,
@@ -455,6 +511,8 @@ class HomeBasedLRC:
                     repeat=repeat,
                     real_fault=faulted,
                 )
+        if gen == self._rearm_gen:
+            summary.rearm_ns = next_rearm
 
     # ------------------------------------------------------------------
     # intervals
@@ -467,6 +525,7 @@ class HomeBasedLRC:
         thread.cpu.protocol_ns += costs.interval_open_ns
         clock._now_ns += costs.interval_open_ns
         thread.interval_counter += 1
+        self._threads[thread.thread_id] = thread
         thread.current_interval = IntervalRecord(
             thread_id=thread.thread_id,
             interval_id=thread.interval_counter,

@@ -26,6 +26,9 @@ class AccessSummary:
     #: first/last access times within the interval (thread clock, ns).
     first_ns: int = 0
     last_ns: int = 0
+    #: the engine's re-arm deadline: before this thread-clock time a
+    #: repeat access has no every-access hook to call (0: call them).
+    rearm_ns: int = 0
 
     @property
     def total(self) -> int:

@@ -47,7 +47,12 @@ from pathlib import Path
 from repro.analysis import experiments as E
 from repro.obs.export import chrome_trace, prometheus_text, validate_chrome_trace, write_chrome_trace
 from repro.obs.overhead import OverheadReport, measure
-from repro.util.validation import non_negative_int, positive_int, sampling_rate
+from repro.util.validation import (
+    non_negative_float,
+    non_negative_int,
+    positive_int,
+    sampling_rate,
+)
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -414,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("gate", help="the make-obs CI gate")
-    p.add_argument("--max-overhead", type=float, default=0.15)
+    p.add_argument("--max-overhead", type=non_negative_float, default=0.15)
     p.add_argument("--repeats", type=positive_int, default=5)
     p.set_defaults(fn=cmd_gate)
 

@@ -55,7 +55,7 @@ class ObjLifetime:
         "_epoch_reads",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, phase: int) -> None:
         #: remote fetch round trips, total and per faulting node.
         self.faults = 0
         self.refaults = 0
@@ -79,8 +79,8 @@ class ObjLifetime:
         #: Horvitz–Thompson-weighted access mass from OAL entries.
         self.ht_bytes = 0
         #: barrier-release phase span this object was active in.
-        self.first_phase = -1
-        self.last_phase = -1
+        self.first_phase = phase
+        self.last_phase = phase
         #: open read epochs: faulting node -> reads since that fault.
         self._epoch_reads: dict[int, int] = {}
 
@@ -105,27 +105,28 @@ class ObjectProfiler:
         #: interval closes observed.
         self.intervals = 0
 
-    def _record(self, obj_id: int) -> ObjLifetime:
-        rec = self.records.get(obj_id)
-        if rec is None:
-            rec = ObjLifetime()
-            self.records[obj_id] = rec
-        if rec.first_phase < 0:
-            rec.first_phase = self.phase
-        rec.last_phase = self.phase
-        return rec
-
     # ------------------------------------------------------------------
     # protocol event hooks (called from HomeBasedLRC / AccessProfiler)
+    #
+    # Each hook folds its events with the get-or-create of the object's
+    # record inlined — a new record starts in the current phase, an
+    # existing one has its last phase moved up — so a fold costs no
+    # Python call per event beyond the first sight of an object.
     # ------------------------------------------------------------------
 
     def on_fault(self, thread, obj, refault: bool) -> None:
         """One remote fetch round trip by ``thread``; ``refault`` when it
         replaced a previously-invalidated copy."""
-        rec = self._record(obj.obj_id)
+        obj_id = obj.obj_id
+        rec = self.records.get(obj_id)
+        if rec is None:
+            rec = self.records[obj_id] = ObjLifetime(self.phase)
+        else:
+            rec.last_phase = self.phase
         node = thread.node_id
         rec.faults += 1
-        rec.faults_by_node[node] = rec.faults_by_node.get(node, 0) + 1
+        by_node = rec.faults_by_node
+        by_node[node] = by_node.get(node, 0) + 1
         if refault:
             rec.refaults += 1
         # A fresh copy landed: open its read epoch.
@@ -133,35 +134,56 @@ class ObjectProfiler:
 
     def on_diff(self, thread, obj_id: int, dirty: int) -> None:
         """One diff flush of ``dirty`` bytes at interval close."""
-        rec = self._record(obj_id)
+        rec = self.records.get(obj_id)
+        if rec is None:
+            rec = self.records[obj_id] = ObjLifetime(self.phase)
+        else:
+            rec.last_phase = self.phase
         rec.diffs += 1
         rec.diff_bytes += dirty
 
     def on_invalidations(self, node_id: int, obj_ids) -> None:
         """Write-notice application invalidated ``obj_ids`` on ``node_id``."""
+        records = self.records
+        phase = self.phase
         for obj_id in obj_ids:
-            rec = self._record(obj_id)
+            rec = records.get(obj_id)
+            if rec is None:
+                rec = records[obj_id] = ObjLifetime(phase)
+            else:
+                rec.last_phase = phase
             rec.invalidations += 1
-            reads = rec._epoch_reads.pop(node_id, None)
-            if reads == 0:
+            if rec._epoch_reads.pop(node_id, None) == 0:
                 rec.dead_transfers += 1
 
     def on_interval_close(self, thread, interval) -> None:
         """Fold the closed interval's exact access summaries."""
+        records = self.records
+        phase = self.phase
         node = thread.node_id
         tid = thread.thread_id
         for obj_id, summary in interval.accesses.items():
-            rec = self._record(obj_id)
-            if summary.reads:
-                rec.reads_by_node[node] = rec.reads_by_node.get(node, 0) + summary.reads
-                if node in rec._epoch_reads:
-                    rec._epoch_reads[node] += summary.reads
-            if summary.writes:
-                rec.writes_by_node[node] = rec.writes_by_node.get(node, 0) + summary.writes
+            rec = records.get(obj_id)
+            if rec is None:
+                rec = records[obj_id] = ObjLifetime(phase)
+            else:
+                rec.last_phase = phase
+            reads = summary.reads
+            if reads:
+                by_node = rec.reads_by_node
+                by_node[node] = by_node.get(node, 0) + reads
+                epoch = rec._epoch_reads
+                if node in epoch:
+                    epoch[node] += reads
+            writes = summary.writes
+            if writes:
+                by_node = rec.writes_by_node
+                by_node[node] = by_node.get(node, 0) + writes
                 rec.writer_nodes.add(node)
                 rec.writer_threads.add(tid)
-                if rec.last_writer_node != node:
-                    if rec.last_writer_node >= 0:
+                last = rec.last_writer_node
+                if last != node:
+                    if last >= 0:
                         rec.writer_alternations += 1
                     rec.last_writer_node = node
         self.intervals += 1
@@ -173,6 +195,13 @@ class ObjectProfiler:
 
     def on_oal_batch(self, node_id: int, entries) -> None:
         """One shipped OAL batch: accumulate HT-scaled access mass."""
+        records = self.records
+        phase = self.phase
         for entry in entries:
-            rec = self._record(entry.obj_id)
+            obj_id = entry.obj_id
+            rec = records.get(obj_id)
+            if rec is None:
+                rec = records[obj_id] = ObjLifetime(phase)
+            else:
+                rec.last_phase = phase
             rec.ht_bytes += entry.scaled_bytes

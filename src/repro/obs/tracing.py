@@ -136,17 +136,33 @@ class SpanTracer:
             self.counts["interval"] = self.counts.get("interval", 0) + 1
         self.self_ns += _perf_ns() - t0
 
+    # The emitters below build their Span in place, as the interval
+    # emitters above do, rather than through add(): the fault and diff
+    # spans fire once per protocol event, and each saves that call.
+
     def fault(self, thread, obj_id: int, begin_ns: int, end_ns: int, n_objects: int) -> None:
-        self.add(
-            "fault", "dsm", thread.node_id, thread.thread_id, begin_ns, end_ns,
+        t0 = _perf_ns()
+        seq = self._seq
+        self._seq = seq + 1
+        self.spans.append(Span(
+            "fault", "dsm", thread.node_id, thread.thread_id, begin_ns, end_ns, seq,
             {"obj_id": obj_id, "objects": n_objects},
-        )
+        ))
+        counts = self.counts
+        counts["fault"] = counts.get("fault", 0) + 1
+        self.self_ns += _perf_ns() - t0
 
     def diff(self, thread, obj_id: int, nbytes: int, begin_ns: int, end_ns: int) -> None:
-        self.add(
-            "diff", "dsm", thread.node_id, thread.thread_id, begin_ns, end_ns,
+        t0 = _perf_ns()
+        seq = self._seq
+        self._seq = seq + 1
+        self.spans.append(Span(
+            "diff", "dsm", thread.node_id, thread.thread_id, begin_ns, end_ns, seq,
             {"obj_id": obj_id, "bytes": nbytes},
-        )
+        ))
+        counts = self.counts
+        counts["diff"] = counts.get("diff", 0) + 1
+        self.self_ns += _perf_ns() - t0
 
     def barrier_arrive(self, thread, barrier_id: int, now_ns: int) -> None:
         t0 = _perf_ns()
@@ -154,41 +170,64 @@ class SpanTracer:
         self.self_ns += _perf_ns() - t0
 
     def barrier_resume(self, thread, barrier_id: int, now_ns: int) -> None:
+        t0 = _perf_ns()
         arrive_ns = self._barrier_ns.pop(thread.thread_id, None)
-        if arrive_ns is None:
-            return
-        self.add(
-            "barrier_wait", "sync", thread.node_id, thread.thread_id,
-            arrive_ns, now_ns, {"barrier_id": barrier_id},
-        )
+        if arrive_ns is not None:
+            seq = self._seq
+            self._seq = seq + 1
+            self.spans.append(Span(
+                "barrier_wait", "sync", thread.node_id, thread.thread_id,
+                arrive_ns, now_ns, seq, {"barrier_id": barrier_id},
+            ))
+            counts = self.counts
+            counts["barrier_wait"] = counts.get("barrier_wait", 0) + 1
+        self.self_ns += _perf_ns() - t0
 
     def migration(self, thread, from_node: int, to_node: int,
                   begin_ns: int, end_ns: int, prefetched: int) -> None:
         # attributed to the destination node: that row shows the thread
         # arriving (the freeze happened on from_node, recorded in args).
-        self.add(
-            "migration", "runtime", to_node, thread.thread_id, begin_ns, end_ns,
+        t0 = _perf_ns()
+        seq = self._seq
+        self._seq = seq + 1
+        self.spans.append(Span(
+            "migration", "runtime", to_node, thread.thread_id, begin_ns, end_ns, seq,
             {"from": from_node, "to": to_node, "prefetched": prefetched},
-        )
+        ))
+        counts = self.counts
+        counts["migration"] = counts.get("migration", 0) + 1
+        self.self_ns += _perf_ns() - t0
 
     def oal_flush(self, thread, entries: int, wire_bytes: int,
                   begin_ns: int, end_ns: int) -> None:
-        self.add(
+        t0 = _perf_ns()
+        seq = self._seq
+        self._seq = seq + 1
+        self.spans.append(Span(
             "oal_flush", "profiler", thread.node_id, thread.thread_id,
-            begin_ns, end_ns, {"entries": entries, "bytes": wire_bytes},
-        )
+            begin_ns, end_ns, seq, {"entries": entries, "bytes": wire_bytes},
+        ))
+        counts = self.counts
+        counts["oal_flush"] = counts.get("oal_flush", 0) + 1
+        self.self_ns += _perf_ns() - t0
 
     def tcm_window(self, master_node: int, begin_ns: int, duration_ns: int,
                    entries: int, window_index: int) -> None:
         # the daemon is sequential: a window delivered while the previous
         # one is still computing queues behind it on the daemon track.
+        t0 = _perf_ns()
         begin = max(begin_ns, self._tcm_busy_ns)
         end = begin + duration_ns
         self._tcm_busy_ns = end
-        self.add(
-            "tcm_window", "profiler", master_node, TCM_TRACK, begin, end,
+        seq = self._seq
+        self._seq = seq + 1
+        self.spans.append(Span(
+            "tcm_window", "profiler", master_node, TCM_TRACK, begin, end, seq,
             {"entries": entries, "window": window_index},
-        )
+        ))
+        counts = self.counts
+        counts["tcm_window"] = counts.get("tcm_window", 0) + 1
+        self.self_ns += _perf_ns() - t0
 
     # ------------------------------------------------------------------
     # queries

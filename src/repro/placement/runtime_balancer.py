@@ -15,9 +15,9 @@ from __future__ import annotations
 from repro.core.profiler import ProfilerSuite
 from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.balancer import CorrelationAwareBalancer, MigrationProposal
-from repro.runtime.interpreter import NO_DEADLINE_NS
 from repro.runtime.migration import MigrationEngine, MigrationPlan
 from repro.runtime.thread import SimThread
+from repro.sim.clock import NO_DEADLINE_NS
 
 
 class OnlineRebalancer:

@@ -39,6 +39,7 @@ from repro.dsm.hlrc import HomeBasedLRC
 from repro.runtime import program as prog
 from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread, ThreadState
+from repro.sim.clock import NO_DEADLINE_NS
 from repro.sim.events import Event, EventKind, EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,9 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: cost of a SETSLOT (a store to the current frame), nanoseconds.
 SETSLOT_NS = 2
-
-#: ``next_fire_ns`` sentinel of a timer hook with nothing scheduled.
-NO_DEADLINE_NS = 1 << 62
 
 
 def _make_vector_engine(interp: "Interpreter"):

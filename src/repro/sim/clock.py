@@ -11,6 +11,11 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
+#: deadline sentinel, later than any simulated time: "nothing scheduled"
+#: for a timer hook's ``next_fire_ns``, "not again this interval" for an
+#: every-access hook's re-arm deadline (see ``HomeBasedLRC.add_hook``).
+NO_DEADLINE_NS = 1 << 62
+
 
 class SimClock:
     """A monotonically advancing simulated clock (integer nanoseconds).

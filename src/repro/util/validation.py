@@ -54,6 +54,17 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    """Parse a finite number >= 0 (e.g. a fractional budget)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
+
+
 def sampling_rate(text: str) -> float | str:
     """Parse a page-relative sampling rate: a positive number, or ``full``."""
     if text == "full":

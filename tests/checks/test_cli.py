@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.checks.__main__ import (
     EXIT_LINT,
     EXIT_RACE,
     EXIT_STATIC,
+    EXIT_USAGE,
     main,
     run_lint,
     run_race,
@@ -36,6 +39,22 @@ def test_main_lint_subcommand(tmp_path):
 
 def test_main_lint_defaults_to_repo_tree():
     assert main(["lint"]) == 0
+
+
+def test_lint_missing_path_exits_2(tmp_path, capsys):
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    missing = tmp_path / "nonexistent"
+    assert main(["lint", str(clean), str(missing)]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert str(missing) in out.err
+    assert "clean" not in out.out
+
+
+def test_lint_tree_without_python_files_exits_2(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("x\n")
+    assert main(["lint", str(tmp_path)]) == EXIT_USAGE
+    assert "no Python files" in capsys.readouterr().err
 
 
 def _fake_report():
@@ -177,6 +196,28 @@ class TestEffectsGate:
         target = tmp_path / "committed.json"
         assert main(["effects", str(root), "--write", str(target)]) == 0
         assert target.is_file()
+
+    def test_missing_tree_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        assert main(["effects", str(missing)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "no such source tree" in err and str(missing) in err
+
+    def test_tree_without_functions_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "src"
+        empty.mkdir()
+        assert main(["effects", str(empty)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert "no functions found" in out.err
+        assert "certified" not in out.out
+
+    @pytest.mark.parametrize("flag", ["--write", "--json"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        root = self._tree(tmp_path, "def f(x):\n    return x\n")
+        target = tmp_path / "missing-dir" / "x.json"
+        assert main(["effects", str(root), flag, str(target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "cannot write" in err and str(target) in err
 
 
 class TestAllAggregation:

@@ -2,23 +2,27 @@
 
 The engine dispatches each hook through the cheapest entry point it
 offers: positional ``fast_on_access`` (the first-touch contract: fired
-once per (interval, object)), positional ``track_access`` (every
-access), or the generic keyword fan-out (every access).  Registering a
-second, inert keyword hook forces the generic route for everything but
-the first-touch profiler, and thin keyword-only wrappers force it for
-every hook, so running the same program both ways and comparing
-protocol counters, per-thread clocks, CPU buckets, the TCM, footprints
-and logging totals pins down that the positional routes change
-*nothing* the simulation can observe — in either registration order,
-and including when prefetch bundles satisfy accesses that would
-otherwise fault.
+once per (interval, object)), positional ``track_access`` (the re-arm
+contract: fired on the first touch, then only once the deadline it
+returned has passed), or the generic keyword fan-out (every access).
+Registering a second, inert keyword hook forces the generic route for
+everything but the first-touch profiler, and thin keyword-only wrappers
+force it for every hook, so running the same program both ways and
+comparing protocol counters, per-thread clocks, CPU buckets, the TCM,
+footprints and logging totals pins down that the positional routes
+change *nothing* the simulation can observe — in either registration
+order, behind a clock-advancing keyword hook, in timer mode, across a
+mid-interval rate change, and including when prefetch bundles satisfy
+accesses that would otherwise fault.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.core.footprint import StickySetFootprinter
 from repro.core.profiler import ProfilerSuite
+from repro.core.sampling import SamplingPolicy
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel
@@ -58,6 +62,30 @@ class KeywordOnly:
         self.hook.on_interval_close(thread, interval, sync_dst)
 
 
+class ClockBump(NullHook):
+    """Keyword hook that advances the thread's clock on every access, so
+    a later every-access hook in the plan runs at a later time than the
+    access began (it can cross a footprint phase boundary)."""
+
+    def on_access(self, thread, obj, **kw):
+        thread.clock._now_ns += 350_000
+
+
+class RateFlip:
+    """Polled timer that switches every class to full sampling once,
+    at the first op after any thread's clock passes ``at_ns``."""
+
+    def __init__(self, suite, at_ns):
+        self.suite = suite
+        self.at_ns = at_ns
+        self.fired = False
+
+    def maybe_fire(self, thread):
+        if not self.fired and thread.clock.now_ns >= self.at_ns:
+            self.fired = True
+            self.suite.set_full_sampling()
+
+
 class StubPrefetcher:
     """Always bundles a fixed set of objects into any fault reply."""
 
@@ -73,17 +101,24 @@ def run_scenario(
     force_fanout: bool = False,
     with_prefetch: bool = False,
     footprint_order: str | None = None,
-    keyword_only: bool = False,
+    keyword_only: bool | str = False,
+    timer_ms: float | None = None,
+    rate_flip_ns: int | None = None,
 ):
     """Two nodes ping-ponging writes over shared objects; returns every
     observable the fast path could perturb.
 
     Without ``footprint_order`` the profiler runs alone under full
     sampling.  With it, the profiler and the sticky-set footprinter are
-    both attached — ``"profiler_first"`` or ``"footprinter_first"`` —
-    at a partial rate, and the program re-touches objects across 1 ms
-    footprint phases inside each interval; ``keyword_only`` wraps both
-    hooks so they take the generic fan-out."""
+    both attached — ``"profiler_first"``, ``"footprinter_first"``, or
+    ``"keyword_first"`` (profiler first, both behind a
+    :class:`ClockBump`) — at a partial rate, and the program re-touches
+    objects across 1 ms footprint phases inside each interval;
+    ``keyword_only`` wraps both hooks so they take the generic fan-out
+    (``"footprinter"``: only the footprinter).
+    ``timer_ms`` runs the footprinter in timer mode (half the period
+    on), and ``rate_flip_ns`` switches to full sampling mid-interval
+    (see :class:`RateFlip`)."""
     djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())
     cls = simple_class(djvm, "Obj", 64)
     n_objs = 4 if footprint_order is None else 8
@@ -97,13 +132,22 @@ def run_scenario(
         # register them in the requested order (wrapped or not).
         captured = []
         djvm.add_hook = captured.append
-        suite = ProfilerSuite(djvm, correlation=True, footprint=True)
+        suite = ProfilerSuite(
+            djvm, correlation=True, footprint=True, footprint_timer_ms=timer_ms
+        )
         del djvm.add_hook
         if footprint_order == "footprinter_first":
             captured.reverse()
+        if footprint_order == "keyword_first":
+            djvm.add_hook(ClockBump())
         for hook in captured:
-            djvm.add_hook(KeywordOnly(hook) if keyword_only else hook)
+            wrap = keyword_only is True or (
+                keyword_only == "footprinter" and hook is suite.footprinter
+            )
+            djvm.add_hook(KeywordOnly(hook) if wrap else hook)
         suite.set_rate_all(20)  # gap 3: some objects sampled, some not
+        if rate_flip_ns is not None:
+            djvm.add_timer(RateFlip(suite, rate_flip_ns))
     if force_fanout:
         djvm.add_hook(NullHook())
     if with_prefetch:
@@ -153,6 +197,22 @@ def run_scenario(
     return out
 
 
+def track_calls(footprinter):
+    """Wrap ``footprinter.track_access`` (before the hook is added) so
+    the engine's calls to it are counted; returns the call log."""
+    calls = []
+
+    class Counting(type(footprinter)):
+        __slots__ = ()
+
+        def track_access(self, thread, obj):
+            calls.append(obj.obj_id)
+            return super().track_access(thread, obj)
+
+    footprinter.__class__ = Counting
+    return calls
+
+
 class TestFastDispatchTransparency:
     def test_counters_and_clocks_match_generic_fanout(self):
         fast = run_scenario(force_fanout=False)
@@ -176,6 +236,119 @@ class TestFastDispatchTransparency:
         assert 0 < fast["logged"] < 2 * 3 * 8
         assert fast["tracked"][0] > 0
         assert any(fp for fps in fast["footprints"].values() for fp in fps)
+
+    @pytest.mark.parametrize(
+        "order", ["profiler_first", "footprinter_first", "keyword_first"]
+    )
+    @pytest.mark.parametrize("timer_ms", [None, 2.0])
+    @pytest.mark.parametrize("rate_flip_ns", [None, 2_000_000])
+    def test_rearm_route_matches_keyword_fanout(self, order, timer_ms, rate_flip_ns):
+        """The re-arm route — every-access hooks skipped until their
+        deadline — replays the keyword fan-out exactly: in both
+        registration orders and behind a clock-advancing keyword hook,
+        in timer mode (off-phase accesses return the next on-phase as
+        their deadline), and when a mid-interval rate change samples
+        objects that were re-armed to NO_DEADLINE_NS while unsampled.
+        The oracle wraps only the footprinter: the profiler keeps its
+        first-touch route, which by contract ignores a rate change for
+        objects already touched in the interval."""
+        kw = dict(footprint_order=order, timer_ms=timer_ms, rate_flip_ns=rate_flip_ns)
+        fast = run_scenario(**kw)
+        slow = run_scenario(keyword_only="footprinter", **kw)
+        assert fast == slow
+        assert fast["tracked"][0] > 0
+        if timer_ms is not None:
+            # Some accesses fell in off-phases and went unseen.
+            nonstop = run_scenario(footprint_order=order, rate_flip_ns=rate_flip_ns)
+            assert fast["tracked"][0] < nonstop["tracked"][0]
+        if rate_flip_ns is not None:
+            # The flip made more objects trackable than the partial rate.
+            partial = run_scenario(footprint_order=order, timer_ms=timer_ms)
+            assert fast["tracked"][0] > partial["tracked"][0]
+
+    def test_track_access_runs_once_per_first_touch_and_phase_retrap(self):
+        """Deterministic work count: one interval, four objects (two
+        sampled), each read three times in each of two 1 ms phases.
+        The footprinter is called on the 4 first touches and on the 2
+        sampled objects' re-traps in the second phase — 6 calls, where
+        calling it on every access would make 24."""
+        djvm = DJVM(n_nodes=1, costs=CostModel.fast_test())
+        cls = simple_class(djvm, "Obj", 64)
+        objs = [djvm.allocate(cls, 0) for _ in range(6)]
+        (thread,) = djvm.spawn_threads(1)
+        policy = SamplingPolicy(page_size=djvm.costs.page_size)
+        policy.set_nominal_gap(cls, 3)
+        fp = StickySetFootprinter(policy, djvm.costs)
+        fp.attach_gos(djvm.gos)
+        calls = track_calls(fp)
+        djvm.add_hook(fp)
+        sampled = [o for o in objs if policy.is_sampled(o)][:2]
+        unsampled = [o for o in objs if not policy.is_sampled(o)][:2]
+        assert len(sampled) == len(unsampled) == 2
+        touched = sampled + unsampled
+        hlrc = djvm.hlrc
+        hlrc.open_interval(thread)
+        for phase_round in range(2):
+            thread.clock.advance_to((phase_round + 1) * 1_000_000 + 10_000)
+            for _ in range(3):
+                for obj in touched:
+                    hlrc.access(thread, obj.obj_id)
+        first_touches, retraps = len(touched), len(sampled)
+        assert len(calls) == first_touches + retraps
+        assert fp.tracked_accesses == 2 * len(sampled)
+        assert fp.live_sticky_candidates(thread) == [o.obj_id for o in sampled]
+
+    def test_enabled_flip_rearms_open_intervals(self):
+        """Disabling the footprinter hands out NO_DEADLINE_NS; enabling it
+        again re-arms the open interval, so the next access is tracked
+        exactly as the keyword route would track it."""
+        djvm = DJVM(n_nodes=1, costs=CostModel.fast_test())
+        cls = simple_class(djvm, "Obj", 64)
+        obj = djvm.allocate(cls, 0)
+        (thread,) = djvm.spawn_threads(1)
+        policy = SamplingPolicy(page_size=djvm.costs.page_size)
+        fp = StickySetFootprinter(policy, djvm.costs)
+        fp.attach_gos(djvm.gos)
+        calls = track_calls(fp)
+        djvm.add_hook(fp)
+        hlrc = djvm.hlrc
+        hlrc.open_interval(thread)
+        fp.enabled = False
+        hlrc.access(thread, obj.obj_id)
+        hlrc.access(thread, obj.obj_id)
+        assert len(calls) == 1  # re-armed to NO_DEADLINE_NS
+        fp.enabled = True
+        hlrc.access(thread, obj.obj_id)
+        assert len(calls) == 2
+        assert fp.tracked_accesses == 1
+
+    def test_gap_change_inside_the_plan_is_not_overwritten(self):
+        """A keyword hook after the footprinter changes the gap while the
+        access is still walking the plan: the deadline the footprinter
+        returned before the change (NO_DEADLINE_NS, unsampled) must not
+        be stored, so the next access tracks the now-sampled object."""
+        djvm = DJVM(n_nodes=1, costs=CostModel.fast_test())
+        cls = simple_class(djvm, "Obj", 64)
+        objs = [djvm.allocate(cls, 0) for _ in range(3)]
+        (thread,) = djvm.spawn_threads(1)
+        policy = SamplingPolicy(page_size=djvm.costs.page_size)
+        policy.set_nominal_gap(cls, 3)
+        obj = next(o for o in objs if not policy.is_sampled(o))
+        fp = StickySetFootprinter(policy, djvm.costs)
+        fp.attach_gos(djvm.gos)
+
+        class FullSamplingOnAccess(NullHook):
+            def on_access(self, thread, obj, **kw):
+                policy.set_nominal_gap(cls, 1)
+
+        djvm.add_hook(fp)
+        djvm.add_hook(FullSamplingOnAccess())
+        hlrc = djvm.hlrc
+        hlrc.open_interval(thread)
+        hlrc.access(thread, obj.obj_id)  # unsampled when fp runs
+        assert fp.tracked_accesses == 0
+        hlrc.access(thread, obj.obj_id)
+        assert fp.tracked_accesses == 1
 
     def test_first_touch_contract_with_two_hooks(self):
         """With two hooks attached, the profiler still sees only an

@@ -115,7 +115,16 @@ def test_bad_run_arguments_exit_two(command, bad, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["report", "--top", "-3"], ["gate", "--repeats", "0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--top", "-3"],
+        ["gate", "--repeats", "0"],
+        ["gate", "--max-overhead", "-1"],
+        ["gate", "--max-overhead", "nan"],
+        ["gate", "--max-overhead", "x"],
+    ],
+)
 def test_bad_counts_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

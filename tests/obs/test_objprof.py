@@ -1,6 +1,7 @@
 """Object-centric inefficiency profiler: lifetime folding, pattern
 detectors, the ranked report, and the placement feed."""
 
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -177,7 +178,19 @@ def water_spatial_runs():
     return base, profiled, report
 
 
+#: SHA-256 of the check-scale Water-Spatial report JSON (sorted keys):
+#: pins every folded counter the report reads, so a change to the
+#: observer folds that drifts any figure fails here.  Recompute only
+#: for a deliberate change to the report or the simulation.
+WATER_SPATIAL_REPORT_SHA256 = "d4580c2482afbf44907bbc8302483fc2280cf4ba39ff6d630dc213ce0b024c5e"
+
+
 class TestWaterSpatialReport:
+    def test_report_json_digest_is_pinned(self, water_spatial_runs):
+        _base, _profiled, report = water_spatial_runs
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == WATER_SPATIAL_REPORT_SHA256
+
     def test_profiler_on_run_is_byte_identical(self, water_spatial_runs):
         base, profiled, _report = water_spatial_runs
         assert base.result.execution_time_ms == profiled.result.execution_time_ms

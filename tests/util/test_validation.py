@@ -1,8 +1,15 @@
 """Tests for argument validation helpers."""
 
+import argparse
+
 import pytest
 
-from repro.util.validation import check_in_range, check_non_negative, check_positive
+from repro.util.validation import (
+    check_in_range,
+    check_non_negative,
+    check_positive,
+    non_negative_float,
+)
 
 
 class TestCheckPositive:
@@ -40,3 +47,14 @@ class TestCheckInRange:
     def test_message_names_argument(self):
         with pytest.raises(ValueError, match="threshold"):
             check_in_range(2, 0, 1, "threshold")
+
+
+class TestNonNegativeFloat:
+    def test_accepts_zero_and_fractions(self):
+        assert non_negative_float("0") == 0.0
+        assert non_negative_float("0.15") == 0.15
+
+    @pytest.mark.parametrize("text", ["-1", "-0.01", "nan", "inf", "abc"])
+    def test_rejects_negative_and_non_finite(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="non-negative number"):
+            non_negative_float(text)
